@@ -4,7 +4,7 @@
 //! `cx_bench::timer`.
 
 use cx_bench::{hub_vertex, timer::Group, workload};
-use cx_explorer::{Engine, QuerySpec};
+use cx_explorer::{CancelToken, Engine, QuerySpec};
 
 fn main() {
     let (g, _) = workload(4_000, 42);
@@ -16,11 +16,12 @@ fn main() {
     let mut group = Group::new("comparison_analysis");
     group.sample_size(10);
     group.bench("search_methods_only", || {
-        engine.compare(None, &["global", "local", "acq"], &spec).expect("compare failed")
+        let none = CancelToken::none();
+        engine.compare(None, &["global", "local", "acq"], &spec, &none).expect("compare failed")
     });
     group.bench("with_codicil", || {
         engine
-            .compare(None, &["global", "local", "codicil", "acq"], &spec)
+            .compare(None, &["global", "local", "codicil", "acq"], &spec, &CancelToken::none())
             .expect("compare failed")
     });
 }

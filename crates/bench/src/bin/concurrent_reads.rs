@@ -11,17 +11,18 @@
 //! within 2× of the writer-free run.
 //!
 //! Emits one JSON line per phase plus a summary, and writes the whole
-//! report to `BENCH_concurrent_reads.json`.
+//! report (stamped with host CPUs, args and git revision) to
+//! `BENCH_concurrent_reads.json` unless `--smoke` is given.
 //!
-//! Usage: `concurrent_reads [vertices] [reads_per_reader]`
+//! Usage: `concurrent_reads [vertices] [reads_per_reader] [--smoke]`
 //! (defaults 10000, 40).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cx_bench::{hub_vertex, workload};
-use cx_explorer::{Engine, QuerySpec};
+use cx_bench::{hub_vertex, provenance_line, workload};
+use cx_explorer::{CancelToken, Engine, QuerySpec};
 
 const READERS: usize = 8;
 /// The writer's pause between edits: long enough that on a single-core
@@ -46,7 +47,9 @@ fn reader_latencies(engine: &Arc<Engine>, spec: &QuerySpec, reads: usize) -> Vec
                 for _ in 0..reads {
                     let start = Instant::now();
                     let snap = engine.snapshot(None).expect("graph registered");
-                    let out = engine.search_snapshot(&snap, "acq", &spec).expect("search");
+                    let out = engine
+                        .search_snapshot_cancellable(&snap, "acq", &spec, &CancelToken::none())
+                        .expect("search");
                     std::hint::black_box(out);
                     times.push(start.elapsed().as_secs_f64() * 1e3);
                 }
@@ -70,8 +73,11 @@ fn phase_line(phase: &str, lat: &[f64], edits: usize) -> String {
 }
 
 fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(10_000);
-    let reads: usize = std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(40);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    args.retain(|a| a != "--smoke");
+    let n: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(10_000);
+    let reads: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(40);
 
     let (g, _) = workload(n, 7);
     let hub = hub_vertex(&g);
@@ -117,7 +123,13 @@ fn main() {
         ratio <= 2.0
     ));
     print!("{report}");
-    std::fs::write("BENCH_concurrent_reads.json", &report).expect("write report");
+    if smoke {
+        println!("(smoke run: BENCH_concurrent_reads.json not written)");
+    } else {
+        report.push_str(&provenance_line());
+        report.push('\n');
+        std::fs::write("BENCH_concurrent_reads.json", &report).expect("write report");
+    }
 
     assert!(
         ratio <= 2.0,

@@ -4,7 +4,7 @@
 //! demo visualises): ACQ highest on both metrics, Global lowest.
 
 use cx_bench::{top_hubs, workload};
-use cx_explorer::{Engine, QuerySpec};
+use cx_explorer::{CancelToken, Engine, QuerySpec};
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4000);
@@ -25,7 +25,8 @@ fn main() {
     let mut cmf_avg = vec![0.0f64; methods.len()];
     for label in &labels {
         let spec = QuerySpec::by_label(label.clone()).k(k);
-        let report = engine.compare(None, &methods, &spec).expect("compare failed");
+        let report =
+            engine.compare(None, &methods, &spec, &CancelToken::none()).expect("compare failed");
         for (i, row) in report.rows.iter().enumerate() {
             cpj_avg[i] += row.cpj / labels.len() as f64;
             cmf_avg[i] += row.cmf / labels.len() as f64;

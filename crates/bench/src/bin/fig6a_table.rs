@@ -14,7 +14,7 @@
 //! community, ACQ best on CPJ/CMF.
 
 use cx_bench::{hub_vertex, workload};
-use cx_explorer::{Engine, QuerySpec};
+use cx_explorer::{CancelToken, Engine, QuerySpec};
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4000);
@@ -32,7 +32,7 @@ fn main() {
     let engine = Engine::with_graph("dblp", g);
     let spec = QuerySpec::by_label(label).k(k);
     let report = engine
-        .compare(None, &["global", "local", "codicil", "acq"], &spec)
+        .compare(None, &["global", "local", "codicil", "acq"], &spec, &CancelToken::none())
         .expect("comparison failed");
     println!("{}", report.table());
     println!("Paper (for shape comparison):");

@@ -21,9 +21,10 @@
 //! the whole point of cooperative cancellation.
 //!
 //! Emits one JSON line per phase plus a summary, and writes the whole
-//! report to `BENCH_http_throughput.json`.
+//! report (stamped with host CPUs, args and git revision) to
+//! `BENCH_http_throughput.json` unless `--smoke` is given.
 //!
-//! Usage: `http_throughput [vertices] [conns] [reqs_per_conn] [probe_vertices]`
+//! Usage: `http_throughput [vertices] [conns] [reqs_per_conn] [probe_vertices] [--smoke]`
 //! (defaults 5000, 64, 30, 100000).
 
 use std::io::{Read, Write};
@@ -31,7 +32,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use cx_bench::workload;
+use cx_bench::{provenance_line, workload};
 use cx_explorer::Engine;
 use cx_server::{Server, ServerConfig};
 
@@ -151,13 +152,16 @@ fn run_fleet(port: u16, conns: usize, targets: Arc<Vec<String>>) -> PhaseOutcome
 }
 
 fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    args.retain(|a| a != "--smoke");
     let arg = |i: usize, d: usize| -> usize {
-        std::env::args().nth(i).and_then(|a| a.parse().ok()).unwrap_or(d)
+        args.get(i).and_then(|a| a.parse().ok()).unwrap_or(d)
     };
-    let n = arg(1, 5_000);
-    let conns = arg(2, 64).max(2);
-    let reqs_per_conn = arg(3, 30).max(1);
-    let probe_n = arg(4, 100_000);
+    let n = arg(0, 5_000);
+    let conns = arg(1, 64).max(2);
+    let reqs_per_conn = arg(2, 30).max(1);
+    let probe_n = arg(3, 100_000);
     let mut report = String::new();
 
     // Phase 1: sustained keep-alive throughput on cheap endpoints.
@@ -251,10 +255,13 @@ fn main() {
     assert_eq!(status, 408, "probe: detect must hit the 50ms deadline: {body}");
     assert_eq!(code, "deadline_exceeded", "probe: typed code: {body}");
 
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    report.push_str(&format!(
-        "{{\"host_cpus\":{cpus},\"zero_resets\":true,\"probe_deadline_exceeded\":true}}\n"
-    ));
+    report.push_str("{\"zero_resets\":true,\"probe_deadline_exceeded\":true}\n");
     print!("{report}");
-    std::fs::write("BENCH_http_throughput.json", &report).expect("write report");
+    if smoke {
+        println!("(smoke run: BENCH_http_throughput.json not written)");
+    } else {
+        report.push_str(&provenance_line());
+        report.push('\n');
+        std::fs::write("BENCH_http_throughput.json", &report).expect("write report");
+    }
 }

@@ -110,6 +110,27 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Provenance line for a committed bench record: host CPU count, the
+/// command-line arguments and the git revision (`git describe --always
+/// --dirty`, or `"unknown"` outside a checkout), as one JSON object.
+pub fn provenance_line() -> String {
+    use cx_server::Json;
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+        .unwrap_or_else(|| "unknown".to_owned());
+    Json::obj([
+        ("host_cpus", Json::num(cpus as f64)),
+        ("args", Json::arr(std::env::args().skip(1).map(Json::str))),
+        ("git_rev", Json::str(rev)),
+    ])
+    .to_string()
+}
+
 /// Formats a duration in adaptive units.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     let us = d.as_secs_f64() * 1e6;

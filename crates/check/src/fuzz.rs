@@ -3,19 +3,21 @@
 //! The driver builds *valid* requests first (real labels, registered
 //! algorithm names, well-formed JSON bodies) and then mutates them:
 //! truncation, type swaps, huge/negative numbers, unknown vertices,
-//! graphs and keywords, junk percent-escapes, deep JSON nesting. The
-//! contract it enforces on every response:
+//! graphs and keywords, junk percent-escapes, deep JSON nesting, and
+//! paths moved into the removed unversioned `/api/<endpoint>` namespace.
+//! The contract it enforces on every response:
 //!
 //! * the handler never panics;
 //! * the status is one of 200/400/401/404/405/408/429/503 — the client
 //!   and operational-pushback codes; never a server-fault 5xx;
 //! * the body is non-empty;
-//! * JSON responses parse; on the legacy `/api/*` routes error responses
-//!   carry a non-empty `error` string, while `/api/v1/*` JSON responses
-//!   must honour the envelope contract: `ok` mirrors the status class,
+//! * JSON responses parse, and every one but the `/healthz` document
+//!   honours the envelope contract: `ok` mirrors the status class,
 //!   `request_id` is a non-empty string, `elapsed_ms` is a number, and
 //!   `error` is `null` on success or `{code, message}` (both non-empty)
-//!   on failure.
+//!   on failure;
+//! * a path under `/api/` but outside `/api/v1/` is a typed
+//!   `not_found` 404.
 //!
 //! Everything is seeded, so a failing case replays deterministically.
 
@@ -178,20 +180,7 @@ fn plausible_value(rng: &mut Rng64, pool: &ValuePool, param: &str) -> String {
 }
 
 /// Endpoint templates: (method, path, candidate params, has JSON body).
-/// Every legacy `/api/*` route has a versioned `/api/v1/*` twin so the
-/// fuzzer exercises both the bare and the enveloped response paths.
 const TEMPLATES: &[(&str, &str, &[&str], bool)] = &[
-    ("GET", "/api/graphs", &[], false),
-    ("GET", "/api/stats", &["graph"], false),
-    ("GET", "/api/suggest", &["q", "limit", "offset", "graph"], false),
-    ("GET", "/api/search", &["timeout_ms", "name", "names", "id", "k", "algo", "graph", "keywords", "layout", "limit", "offset"], false),
-    ("GET", "/api/svg", &["timeout_ms", "name", "id", "k", "algo", "index", "layout", "graph"], false),
-    ("GET", "/api/compare", &["timeout_ms", "name", "id", "k", "algos", "graph", "keywords"], false),
-    ("GET", "/api/chart", &["timeout_ms", "name", "id", "k", "algos", "graph"], false),
-    ("GET", "/api/detect", &["timeout_ms", "algo", "limit", "graph"], false),
-    ("GET", "/api/profile", &["id", "graph"], false),
-    ("POST", "/api/edit", &["graph"], true),
-    ("POST", "/api/upload", &["name"], true),
     ("GET", "/api/v1/graphs", &[], false),
     ("GET", "/api/v1/stats", &["graph"], false),
     ("GET", "/api/v1/suggest", &["q", "limit", "offset", "graph"], false),
@@ -291,8 +280,9 @@ fn generate(rng: &mut Rng64, pool: &ValuePool) -> Request {
         Vec::new()
     };
     let mut method = method.to_owned();
+    let mut path = path.to_owned();
     for _ in 0..rng.next_u64() % 4 {
-        match rng.next_u64() % 6 {
+        match rng.next_u64() % 7 {
             0 if !pairs.is_empty() => {
                 // Swap one value for a hostile one.
                 let i = (rng.next_u64() as usize) % pairs.len();
@@ -306,6 +296,8 @@ fn generate(rng: &mut Rng64, pool: &ValuePool) -> Request {
             2 => pairs.push((hostile_value(rng), hostile_value(rng))),
             3 if !body.is_empty() => mutate_body(rng, &mut body),
             4 => method = if method == "GET" { "POST".into() } else { "GET".into() },
+            // Move the request into the removed unversioned namespace.
+            5 => path = path.replacen("/api/v1/", "/api/", 1),
             _ => {
                 // Unknown graph / algo / vertex names.
                 pairs.push((
@@ -357,6 +349,10 @@ fn check_response(req: &Request, resp: &Response) -> Option<String> {
     if resp.body.is_empty() {
         return Some(format!("{line} → empty body (status {})", resp.status));
     }
+    let removed = req.path.starts_with("/api/") && !req.path.starts_with("/api/v1/");
+    if removed && resp.status != 404 {
+        return Some(format!("{line} → status {} in the removed namespace", resp.status));
+    }
     if resp.content_type.starts_with("application/json") {
         let text = resp.text();
         let parsed = match Json::parse(&text) {
@@ -368,20 +364,15 @@ fn check_response(req: &Request, resp: &Response) -> Option<String> {
                 ))
             }
         };
-        if req.path.starts_with("/api/v1/") {
+        // `/healthz` is the one bare JSON document.
+        if req.path != "/healthz" || resp.status >= 400 {
             if let Some(v) = check_envelope(&line, resp.status, &parsed) {
                 return Some(v);
             }
-        } else if resp.status >= 400 {
-            match parsed.get("error").and_then(Json::as_str) {
-                Some(msg) if !msg.is_empty() => {}
-                _ => {
-                    return Some(format!(
-                        "{line} → {} without a non-empty error field",
-                        resp.status
-                    ))
-                }
-            }
+        }
+        let code = parsed.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+        if removed && code != Some("not_found") {
+            return Some(format!("{line} → code {code:?} in the removed namespace"));
         }
     } else if resp.status >= 400 {
         return Some(format!(
@@ -428,7 +419,7 @@ fn check_envelope(line: &str, status: u16, parsed: &Json) -> Option<String> {
 
 /// Fires `params.requests` mutated requests at the server and checks the
 /// response contract on each. The engine behind the server is mutated by
-/// successful `/api/edit` / `/api/upload` requests — by design, so the
+/// successful `/api/v1/edit` / `/api/v1/upload` requests — by design, so the
 /// fuzzer also exercises queries interleaved with churn.
 pub fn fuzz_server(server: &Server, params: &FuzzParams) -> FuzzReport {
     let pool = pool_from(server);
@@ -478,18 +469,21 @@ mod tests {
 
     #[test]
     fn contract_checker_flags_bad_responses() {
-        let req = Request::get("/api/search?name=A");
+        let req = Request::get("/api/v1/search?name=A");
         // 500s are never acceptable.
         let bad = Response::error(500, "boom");
         assert!(check_response(&req, &bad).unwrap().contains("unexpected status"));
-        // Error bodies must be JSON with a non-empty error.
+        // Error bodies must be envelopes: neither `{}` nor a bare
+        // `{"error": …}` document qualifies.
         let empty = Response {
             status: 400,
             content_type: "application/json".into(),
             body: b"{}".to_vec(),
             headers: Vec::new(),
         };
-        assert!(check_response(&req, &empty).unwrap().contains("error field"));
+        assert!(check_response(&req, &empty).unwrap().contains("missing boolean ok"));
+        let bare = Response::error(404, "no such vertex");
+        assert!(check_response(&req, &bare).unwrap().contains("missing boolean ok"));
         let malformed = Response {
             status: 400,
             content_type: "application/json".into(),
@@ -497,8 +491,16 @@ mod tests {
             headers: Vec::new(),
         };
         assert!(check_response(&req, &malformed).unwrap().contains("malformed"));
-        // A good error passes.
-        assert!(check_response(&req, &Response::error(404, "no such vertex")).is_none());
+        // The server's own typed error passes.
+        let s = server();
+        let req = Request::get("/api/v1/search?name=nobody");
+        assert!(check_response(&req, &s.handle(&req)).is_none());
+        // The removed namespace must answer a typed not_found 404 — which
+        // the server does, and a served endpoint there would not.
+        let removed = Request::get("/api/search?name=A");
+        assert!(check_response(&removed, &s.handle(&removed)).is_none());
+        let served = s.handle(&Request::get("/api/v1/search?name=A"));
+        assert!(check_response(&removed, &served).unwrap().contains("removed namespace"));
     }
 
     #[test]

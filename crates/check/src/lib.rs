@@ -59,7 +59,7 @@ pub use invariants::{
 };
 pub use oracle::{
     acq_strategy_differential, bitset_prune_differential, cached_vs_uncached,
-    incremental_vs_scratch, scratch_reuse_differential, snapshot_pinning_differential,
-    with_prune, with_threads, Mismatch,
+    incremental_vs_scratch, rebuild_with_edges, scratch_reuse_differential,
+    snapshot_pinning_differential, with_prune, with_threads, Mismatch,
 };
 pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};

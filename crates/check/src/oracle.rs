@@ -18,8 +18,8 @@ use std::sync::Mutex;
 
 use cx_acq::{acq, AcqOptions, AcqResult, AcqStrategy};
 use cx_cltree::ClTree;
-use cx_explorer::{Engine, QuerySpec};
-use cx_graph::{AttributedGraph, VertexId};
+use cx_explorer::{CancelToken, Engine, ExplorerError, QuerySpec};
+use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_kcore::CoreDecomposition;
 
 use crate::canonical::{diff_results, fingerprint, graph_fingerprint, tree_canonical};
@@ -106,7 +106,7 @@ pub fn cached_vs_uncached(
     let mut mismatches = Vec::new();
     let context = format!("algo={algo} spec={spec:?}");
     let cached = Engine::with_graph("check", g.clone());
-    let cold = match cached.search_on(None, algo, spec) {
+    let cold = match pinned_search(&cached, algo, spec) {
         Ok(c) => c,
         Err(e) => {
             return vec![Mismatch {
@@ -117,7 +117,7 @@ pub fn cached_vs_uncached(
         }
     };
     let hits_before = cached.cache_stats().hits;
-    let warm = cached.search_on(None, algo, spec).expect("warm repeat of a successful query");
+    let warm = pinned_search(&cached, algo, spec).expect("warm repeat of a successful query");
     if cached.cache_stats().hits != hits_before + 1 {
         mismatches.push(Mismatch {
             oracle: "cache",
@@ -134,7 +134,7 @@ pub fn cached_vs_uncached(
     }
     let uncached = Engine::with_graph("check", g.clone());
     uncached.set_cache_capacity(0);
-    match uncached.search_on(None, algo, spec) {
+    match pinned_search(&uncached, algo, spec) {
         Ok(plain) => {
             if let Some(d) = diff_results("cached", &cold, "uncached", &plain) {
                 mismatches.push(Mismatch { oracle: "cache", context, detail: d });
@@ -189,7 +189,9 @@ pub fn snapshot_pinning_differential(
 
     // The pinned reader must see the pre-edit world, byte for byte.
     let before = Engine::with_graph("check", g.clone());
-    match (engine.search_snapshot(&pinned, algo, spec), before.search_on(None, algo, spec)) {
+    let none = CancelToken::none();
+    let pinned_answer = engine.search_snapshot_cancellable(&pinned, algo, spec, &none);
+    match (pinned_answer, pinned_search(&before, algo, spec)) {
         (Ok(p), Ok(f)) => {
             if let Some(d) = diff_results("pinned", &p, "pre-edit", &f) {
                 mismatches.push(mismatch(d));
@@ -209,7 +211,8 @@ pub fn snapshot_pinning_differential(
     if let Err(e) = after.apply_edits(None, add, remove) {
         return vec![mismatch(format!("reference edit failed: {e}"))];
     }
-    match (engine.search_snapshot(&live, algo, spec), after.search_on(None, algo, spec)) {
+    let live_answer = engine.search_snapshot_cancellable(&live, algo, spec, &none);
+    match (live_answer, pinned_search(&after, algo, spec)) {
         (Ok(l), Ok(f)) => {
             if let Some(d) = diff_results("live", &l, "post-edit", &f) {
                 mismatches.push(mismatch(d));
@@ -241,9 +244,8 @@ pub fn snapshot_pinning_differential(
 ///    keyword index is caught),
 /// 4. one community query answered by both engines.
 ///
-/// The scratch side is constructed directly (builder + fresh index), not
-/// via the `CX_INCREMENTAL` env toggle — the env var is process-global
-/// and this oracle must be safe to run concurrently with other tests.
+/// The scratch side is constructed directly (builder + fresh index), so
+/// the oracle shares no code with the write path it checks.
 /// Stops at the first divergent step (later steps would only echo it).
 pub fn incremental_vs_scratch(
     g: &AttributedGraph,
@@ -292,7 +294,7 @@ pub fn incremental_vs_scratch(
             mismatches.push(mismatch("CL-tree canonical forms diverge".into()));
         }
         let scratch_engine = Engine::with_graph("check", scratch_graph);
-        match (inc.search_on(None, algo, spec), scratch_engine.search_on(None, algo, spec)) {
+        match (pinned_search(&inc, algo, spec), pinned_search(&scratch_engine, algo, spec)) {
             (Ok(a), Ok(b)) => {
                 if let Some(d) = diff_results("incremental", &a, "scratch", &b) {
                     mismatches.push(mismatch(d));
@@ -383,9 +385,18 @@ pub fn scratch_reuse_differential(
     mismatches
 }
 
+/// One search pinned to the engine's current default-graph snapshot.
+fn pinned_search(
+    engine: &Engine,
+    algo: &str,
+    spec: &QuerySpec,
+) -> Result<Vec<Community>, ExplorerError> {
+    engine.search_snapshot_cancellable(&*engine.snapshot(None)?, algo, spec, &CancelToken::none())
+}
+
 /// Rebuilds `g` from scratch with a replacement edge set (same vertices,
 /// labels and keywords, interned in the same order so ids line up).
-fn rebuild_with_edges(g: &AttributedGraph, edges: &[(VertexId, VertexId)]) -> AttributedGraph {
+pub fn rebuild_with_edges(g: &AttributedGraph, edges: &[(VertexId, VertexId)]) -> AttributedGraph {
     let mut b = cx_graph::GraphBuilder::with_capacity(g.vertex_count(), edges.len());
     for v in g.vertices() {
         let kws = g.keyword_names(g.keywords(v));

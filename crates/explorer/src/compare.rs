@@ -8,6 +8,7 @@
 use std::time::Instant;
 
 use cx_graph::Community;
+use cx_par::task::CancelToken;
 
 use crate::engine::Engine;
 use crate::error::ExplorerError;
@@ -52,11 +53,16 @@ impl Engine {
     /// graph and assembles the comparison report. Unknown algorithm names
     /// error; algorithms that return nothing produce a zero row, exactly
     /// like an empty result in the UI.
+    ///
+    /// Every method runs under `token` (the serving layer's `timeout_ms`),
+    /// which is also checked between methods: an expired deadline yields
+    /// [`ExplorerError::DeadlineExceeded`] instead of the report.
     pub fn compare(
         &self,
         graph: Option<&str>,
         algos: &[&str],
         spec: &QuerySpec,
+        token: &CancelToken,
     ) -> Result<ComparisonReport, ExplorerError> {
         // Pin one snapshot for the whole comparison: every method runs
         // against the same graph version even if an edit lands mid-way.
@@ -66,8 +72,11 @@ impl Engine {
 
         let mut rows = Vec::with_capacity(algos.len());
         for &name in algos {
+            if token.is_cancelled() {
+                return Err(ExplorerError::DeadlineExceeded);
+            }
             let start = Instant::now();
-            let results = self.search_snapshot(&snap, name, spec)?;
+            let results = self.search_snapshot_cancellable(&snap, name, spec, token)?;
             let millis = start.elapsed().as_secs_f64() * 1e3;
             let stats = cx_metrics::CommunityStats::compute(g, &results);
             rows.push(ComparisonRow {
@@ -160,7 +169,7 @@ mod tests {
         let e = Engine::with_graph("collab", small_collab_graph());
         let spec = QuerySpec::by_label("db-author-0").k(3);
         let report = e
-            .compare(None, &["global", "local", "codicil", "acq"], &spec)
+            .compare(None, &["global", "local", "codicil", "acq"], &spec, &CancelToken::none())
             .unwrap();
         assert_eq!(report.rows.len(), 4);
         let by_name = |n: &str| report.rows.iter().find(|r| r.method == n).unwrap();
@@ -194,7 +203,7 @@ mod tests {
     fn table_and_charts_render() {
         let e = Engine::with_graph("collab", small_collab_graph());
         let spec = QuerySpec::by_label("ml-author-1").k(3);
-        let report = e.compare(None, &["global", "acq"], &spec).unwrap();
+        let report = e.compare(None, &["global", "acq"], &spec, &CancelToken::none()).unwrap();
         let table = report.table();
         assert!(table.contains("Method"));
         assert!(table.contains("global"));
@@ -211,6 +220,18 @@ mod tests {
     fn unknown_method_propagates_error() {
         let e = Engine::with_graph("collab", small_collab_graph());
         let spec = QuerySpec::by_label("db-author-0");
-        assert!(e.compare(None, &["acq", "ghost"], &spec).is_err());
+        assert!(e.compare(None, &["acq", "ghost"], &spec, &CancelToken::none()).is_err());
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_comparison() {
+        let e = Engine::with_graph("collab", small_collab_graph());
+        let spec = QuerySpec::by_label("db-author-0").k(3);
+        let token = CancelToken::manual();
+        token.cancel();
+        assert!(matches!(
+            e.compare(None, &["global", "acq"], &spec, &token),
+            Err(ExplorerError::DeadlineExceeded)
+        ));
     }
 }

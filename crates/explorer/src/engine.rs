@@ -242,14 +242,6 @@ impl Drop for RegistryGuard<'_> {
     }
 }
 
-/// The C-Explorer engine. One instance serves many graphs and algorithms
-/// and is shared across threads directly (`Arc<Engine>`, no outer lock):
-/// reads pin an immutable [`GraphSnapshot`] and run lock-free; writes
-/// build the next snapshot off-lock and publish it atomically (see the
-/// module docs for the full concurrency model).
-///
-/// Query results from [`Engine::search_on`] / [`Engine::detect_on`] are
-/// memoised in a bounded, sharded LRU cache keyed by the resolved query
 /// Writer-only state protected by a graph's write gate. Holding the gate
 /// *is* holding this state, so no extra synchronisation is needed.
 ///
@@ -273,10 +265,10 @@ struct WriteState {
 /// build the next snapshot off-lock and publish it atomically (see the
 /// module docs for the full concurrency model).
 ///
-/// Query results from [`Engine::search_on`] / [`Engine::detect_on`] are
-/// memoised in a bounded, sharded LRU cache keyed by the resolved query
-/// *and the snapshot generation*, so mutation can never serve stale
-/// answers.
+/// Query results from [`Engine::search_snapshot_cancellable`] /
+/// [`Engine::detect_snapshot_cancellable`] are memoised in a bounded,
+/// sharded LRU cache keyed by the resolved query *and the snapshot
+/// generation*, so mutation can never serve stale answers.
 pub struct Engine {
     registry: Mutex<Registry>,
     /// Per-graph writer serialization. Writers hold their graph's gate
@@ -632,47 +624,24 @@ impl Engine {
         self.cd.iter().find(|a| a.name() == name).map(Box::as_ref)
     }
 
-    /// The paper's `search(CSAlgorithm, Query)` on the default graph.
+    /// The paper's `search(CSAlgorithm, Query)` on the default graph:
+    /// [`Engine::search_snapshot_cancellable`] on its current snapshot,
+    /// with no deadline.
     ///
     /// A CD algorithm name is accepted too: its clustering is computed and
     /// the query vertex's cluster returned (how CODICIL shows up alongside
     /// the CS methods in Figure 6(a)).
     pub fn search(&self, algo: &str, spec: &QuerySpec) -> Result<Vec<Community>, ExplorerError> {
-        self.search_on(None, algo, spec)
-    }
-
-    /// `search` against a named graph: pins the current snapshot and
-    /// delegates to [`Engine::search_snapshot`].
-    pub fn search_on(
-        &self,
-        graph: Option<&str>,
-        algo: &str,
-        spec: &QuerySpec,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.search_snapshot(&*self.snapshot(graph)?, algo, spec)
+        self.search_snapshot_cancellable(&*self.snapshot(None)?, algo, spec, &CancelToken::none())
     }
 
     /// `search` against an already pinned snapshot — what a request
-    /// handler uses to keep one consistent graph version across the
-    /// whole request. Results are served from the query cache when the
-    /// same resolved query was answered against the same snapshot
-    /// generation before.
-    pub fn search_snapshot(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-        spec: &QuerySpec,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.search_snapshot_cancellable(snap, algo, spec, &CancelToken::none())
-    }
-
-    /// [`Engine::search_snapshot`] under a cooperative cancellation token
-    /// (the serving layer's `timeout_ms`). The algorithm runs inside a
-    /// [`cx_par::task::scope`], so checkpointed hot loops bail early; the
-    /// token is re-checked after the algorithm returns, and a cancelled run
-    /// yields [`ExplorerError::DeadlineExceeded`] without inserting the
-    /// (possibly partial) result into the query cache. An unarmed token
-    /// takes the exact zero-alloc path of the plain entry point.
+    /// handler uses to keep one consistent graph version across the whole
+    /// request — under a cooperative cancellation token (the serving
+    /// layer's `timeout_ms`; [`CancelToken::none`] for no deadline).
+    /// Results are cached per resolved query and snapshot generation; a
+    /// run the token cancels yields [`ExplorerError::DeadlineExceeded`]
+    /// and caches nothing.
     pub fn search_snapshot_cancellable(
         &self,
         snap: &GraphSnapshot,
@@ -690,17 +659,9 @@ impl Engine {
             k: spec.k,
             keywords: spec.keywords.clone(),
         };
-        if let Some(hit) = self.cache.get(&key) {
-            cx_obs::metrics::inc("cx_engine_cache_total{event=\"hit\"}");
-            return Ok(hit);
-        }
-        cx_obs::metrics::inc("cx_engine_cache_total{event=\"miss\"}");
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"search\"}");
-            return Err(ExplorerError::DeadlineExceeded);
-        }
-        let ctx = snap.context();
-        let run = || {
+        let deadline_metric = "cx_engine_deadline_total{op=\"search\"}";
+        self.cached_run(key, token, None, deadline_metric, || {
+            let ctx = snap.context();
             let _algo_span = cx_obs::span(&format!("algo.{algo}"));
             if let Some(a) = self.find_cs(algo) {
                 Ok(a.search(&ctx, &qs, spec))
@@ -709,72 +670,24 @@ impl Engine {
             } else {
                 Err(ExplorerError::UnknownAlgorithm(algo.to_owned()))
             }
-        };
-        let out: Vec<Community> = if token.is_armed() {
-            cx_par::task::scope(token, None, run)?
-        } else {
-            run()?
-        };
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"search\"}");
-            return Err(ExplorerError::DeadlineExceeded);
-        }
-        self.cache.insert(key, out.clone());
-        Ok(out)
+        })
     }
 
-    /// The paper's `detect(CDAlgorithm)` on the default graph.
+    /// The paper's `detect(CDAlgorithm)` on the default graph:
+    /// [`Engine::detect_snapshot_cancellable`] on its current snapshot,
+    /// with no deadline and no progress sink.
     pub fn detect(&self, algo: &str) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_on(None, algo)
+        self.detect_snapshot_cancellable(&*self.snapshot(None)?, algo, &CancelToken::none(), None)
     }
 
-    /// `detect` against a named graph: pins the current snapshot and
-    /// delegates to [`Engine::detect_snapshot`].
-    pub fn detect_on(
-        &self,
-        graph: Option<&str>,
-        algo: &str,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot(&*self.snapshot(graph)?, algo)
-    }
-
-    /// `detect` against an already pinned snapshot. Cached like
-    /// [`Engine::search_snapshot`] (a detect key has no query vertices,
-    /// so it never collides with a search key).
-    pub fn detect_snapshot(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot_with(snap, algo, &CancelToken::none(), None)
-    }
-
-    /// [`Engine::detect_snapshot`] under a cooperative cancellation token —
-    /// the deadline semantics of [`Engine::search_snapshot_cancellable`].
+    /// `detect` against an already pinned snapshot, with the deadline
+    /// semantics of [`Engine::search_snapshot_cancellable`]. Cached like a
+    /// search (a detect key has no query vertices, so it never collides
+    /// with a search key). With `progress`, the algorithm's
+    /// [`cx_par::task::progress`] calls reach it (the SSE layer frames
+    /// them as events); a cache hit short-circuits with the result and no
+    /// progress events.
     pub fn detect_snapshot_cancellable(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-        token: &CancelToken,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot_with(snap, algo, token, None)
-    }
-
-    /// Streaming `detect`: the algorithm's [`cx_par::task::progress`] calls
-    /// reach `progress` (the SSE layer frames them as events), and `token`
-    /// carries both the request deadline and client-disconnect abort. A
-    /// cache hit short-circuits with the result and no progress events.
-    pub fn detect_snapshot_streaming(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-        token: &CancelToken,
-        progress: Arc<ProgressFn>,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot_with(snap, algo, token, Some(progress))
-    }
-
-    fn detect_snapshot_with(
         &self,
         snap: &GraphSnapshot,
         algo: &str,
@@ -793,27 +706,48 @@ impl Engine {
             k: 0,
             keywords: Vec::new(),
         };
+        let deadline_metric = "cx_engine_deadline_total{op=\"detect\"}";
+        self.cached_run(key, token, progress, deadline_metric, || {
+            let _algo_span = cx_obs::span(&format!("algo.{algo}"));
+            Ok(a.detect(&snap.context()))
+        })
+    }
+
+    /// The cache-and-deadline protocol behind every search and detect:
+    /// serve `key` from the query cache, or run `run` (inside a
+    /// [`cx_par::task::scope`] when the token is armed or `progress` is
+    /// set, so checkpointed loops see both) and cache its result. A token
+    /// that has fired before or after the run yields
+    /// [`ExplorerError::DeadlineExceeded`] and caches nothing.
+    fn cached_run(
+        &self,
+        key: QueryKey,
+        token: &CancelToken,
+        progress: Option<Arc<ProgressFn>>,
+        deadline_metric: &str,
+        run: impl FnOnce() -> Result<Vec<Community>, ExplorerError>,
+    ) -> Result<Vec<Community>, ExplorerError> {
         if let Some(hit) = self.cache.get(&key) {
             cx_obs::metrics::inc("cx_engine_cache_total{event=\"hit\"}");
             return Ok(hit);
         }
         cx_obs::metrics::inc("cx_engine_cache_total{event=\"miss\"}");
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"detect\"}");
+        let expired = || {
+            let fired = token.is_cancelled();
+            if fired {
+                cx_obs::metrics::inc(deadline_metric);
+            }
+            fired
+        };
+        if expired() {
             return Err(ExplorerError::DeadlineExceeded);
         }
-        let ctx = snap.context();
-        let run = || {
-            let _algo_span = cx_obs::span(&format!("algo.{algo}"));
-            a.detect(&ctx)
-        };
         let out = if token.is_armed() || progress.is_some() {
-            cx_par::task::scope(token, progress, run)
+            cx_par::task::scope(token, progress, run)?
         } else {
-            run()
+            run()?
         };
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"detect\"}");
+        if expired() {
             return Err(ExplorerError::DeadlineExceeded);
         }
         self.cache.insert(key, out.clone());
@@ -1054,16 +988,15 @@ impl Engine {
     /// Applies a batch of edge edits to a graph — the evolving-network
     /// path (new co-authorships appear, stale ones are pruned).
     ///
-    /// The incremental path (default): the edits are coalesced into an
-    /// effective [`cx_graph::EdgeDelta`], the CSR adjacency is patched
-    /// with [`AttributedGraph::apply_delta`] (attribute columns shared by
-    /// `Arc`), core numbers are maintained subcore-locally by a warm
-    /// [`cx_kcore::DynamicCore`] cached in the write gate, and the
-    /// CL-tree is repaired with [`ClTree::update`] (which itself falls
-    /// back to a full rebuild when too many core numbers changed). Set
-    /// `CX_INCREMENTAL=off` to force the original full-rebuild path.
+    /// The edits are coalesced into an effective [`cx_graph::EdgeDelta`],
+    /// the CSR adjacency is patched with [`AttributedGraph::apply_delta`]
+    /// (attribute columns shared by `Arc`), core numbers are maintained
+    /// subcore-locally by a warm [`cx_kcore::DynamicCore`] cached in the
+    /// write gate, and the CL-tree is repaired with [`ClTree::update`]
+    /// (which itself falls back to a full rebuild when too many core
+    /// numbers changed).
     ///
-    /// Either way the work happens off the registry lock; concurrent
+    /// The work happens off the registry lock; concurrent
     /// readers keep answering from the previous snapshot until the
     /// publish, and every call — including a structural no-op — publishes
     /// a fresh generation. Wall time is recorded in the
@@ -1080,124 +1013,64 @@ impl Engine {
         let mut ws = gate.lock().unwrap_or_else(|p| p.into_inner());
         let snap = self.snapshot(Some(&name))?;
         let g = &snap.graph;
-        if Self::incremental_enabled() {
-            // Validates every endpoint before any effect, so a bad edit
-            // leaves the graph untouched.
-            let delta = g.edge_delta(add, remove)?;
-            let (new_graph, new_tree) = if delta.is_empty() {
-                // Structural no-op: share graph and index wholesale but
-                // still publish (callers observe a generation per edit).
-                (Arc::clone(g), Arc::clone(&snap.tree))
-            } else {
-                let new_graph = Arc::new(g.apply_delta(&delta));
-                let mut dc = match ws.dyncore.take() {
-                    Some(dc) if ws.dyncore_for.as_ptr() == Arc::as_ptr(g) => dc,
-                    _ => cx_kcore::DynamicCore::from_graph_with_cores(g, snap.tree.core_numbers()),
-                };
-                // Effective sets are disjoint (no edge is both added and
-                // removed), so the order of the two loops is immaterial.
-                for &(u, v) in &delta.removed {
-                    dc.remove_edge(u, v);
-                }
-                for &(u, v) in &delta.added {
-                    dc.insert_edge(u, v);
-                }
-                let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
-                ws.dyncore_for = Arc::downgrade(&new_graph);
-                ws.dyncore = Some(dc);
-                (new_graph, Arc::new(tree))
+        // Validates every endpoint before any effect, so a bad edit
+        // leaves the graph untouched.
+        let delta = g.edge_delta(add, remove)?;
+        let (new_graph, new_tree) = if delta.is_empty() {
+            // Structural no-op: share graph and index wholesale but
+            // still publish (callers observe a generation per edit).
+            (Arc::clone(g), Arc::clone(&snap.tree))
+        } else {
+            let new_graph = Arc::new(g.apply_delta(&delta));
+            let mut dc = match ws.dyncore.take() {
+                Some(dc) if ws.dyncore_for.as_ptr() == Arc::as_ptr(g) => dc,
+                _ => cx_kcore::DynamicCore::from_graph_with_cores(g, snap.tree.core_numbers()),
             };
-            let generation = self.reserve_generation(&name);
-            self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
-            let next = GraphSnapshot::new(
-                name,
-                new_graph,
-                new_tree,
-                Arc::clone(&snap.profiles),
-                snap.coords.clone(),
-                generation,
-            );
-            // Carry the summary hierarchy forward incrementally so a
-            // browsing client doesn't pay a full rebuild after each edit.
-            if let Some(prev_h) = snap.hierarchy_cached() {
-                if Arc::ptr_eq(&next.tree, &snap.tree) {
-                    next.seed_hierarchy(prev_h);
-                } else {
-                    next.seed_hierarchy(Arc::new(Hierarchy::update(
-                        &next.graph,
-                        &next.tree,
-                        &snap.tree,
-                        &prev_h,
-                    )));
-                }
+            // Effective sets are disjoint (no edge is both added and
+            // removed), so the order of the two loops is immaterial.
+            for &(u, v) in &delta.removed {
+                dc.remove_edge(u, v);
             }
-            self.publish(next);
-            cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
-            return Ok(());
-        }
-        for &(u, v) in add.iter().chain(remove) {
-            g.check_vertex(u)?;
-            g.check_vertex(v)?;
-        }
-        let removed: std::collections::HashSet<(VertexId, VertexId)> = remove
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        let mut b = cx_graph::GraphBuilder::with_capacity(g.vertex_count(), g.edge_count());
-        for v in g.vertices() {
-            let kws = g.keyword_names(g.keywords(v));
-            let refs: Vec<&str> = kws.iter().map(String::as_str).collect();
-            b.add_vertex(g.label(v), &refs);
-        }
-        for (u, v) in g.edges() {
-            if !removed.contains(&(u, v)) {
-                b.add_edge(u, v);
+            for &(u, v) in &delta.added {
+                dc.insert_edge(u, v);
             }
-        }
-        for &(u, v) in add {
-            b.add_edge(u, v);
-        }
-        let new_graph = b.try_build()?;
-        let tree = ClTree::build(&new_graph);
+            let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
+            ws.dyncore_for = Arc::downgrade(&new_graph);
+            ws.dyncore = Some(dc);
+            (new_graph, Arc::new(tree))
+        };
         let generation = self.reserve_generation(&name);
-        if self.store.is_some() {
-            // The durable log records the normalized delta either way, so
-            // replay is identical across CX_INCREMENTAL settings.
-            let delta = g.edge_delta(add, remove)?;
-            self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
-        }
-        // Edits touch edges only, so profiles and coordinates carry over.
-        self.publish(GraphSnapshot::new(
+        self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
+        let next = GraphSnapshot::new(
             name,
-            Arc::new(new_graph),
-            Arc::new(tree),
+            new_graph,
+            new_tree,
             Arc::clone(&snap.profiles),
             snap.coords.clone(),
             generation,
-        ));
+        );
+        // Carry the summary hierarchy forward incrementally so a
+        // browsing client doesn't pay a full rebuild after each edit.
+        if let Some(prev_h) = snap.hierarchy_cached() {
+            if Arc::ptr_eq(&next.tree, &snap.tree) {
+                next.seed_hierarchy(prev_h);
+            } else {
+                next.seed_hierarchy(Arc::new(Hierarchy::update(
+                    &next.graph,
+                    &next.tree,
+                    &snap.tree,
+                    &prev_h,
+                )));
+            }
+        }
+        self.publish(next);
         cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
         Ok(())
     }
 
-    /// Whether the incremental write path is enabled (`CX_INCREMENTAL` is
-    /// unset, or set to anything other than `off`/`0`).
-    fn incremental_enabled() -> bool {
-        !matches!(std::env::var("CX_INCREMENTAL").ok().as_deref(), Some("off") | Some("0"))
-    }
-
-    /// Case-insensitive vertex search for the UI's name box; returns
-    /// (vertex, label, degree) triples, best match first.
-    pub fn suggest(
-        &self,
-        graph: Option<&str>,
-        query: &str,
-        limit: usize,
-    ) -> Result<Vec<(VertexId, String, usize)>, ExplorerError> {
-        Ok(self.suggest_page(graph, query, 0, limit)?.0)
-    }
-
-    /// Paged [`Engine::suggest`]: returns the `offset..offset+limit`
-    /// slice of the ranked match list plus the total match count. Only
+    /// Case-insensitive vertex search for the UI's name box: returns the
+    /// `offset..offset+limit` slice of the ranked (vertex, label, degree)
+    /// match list, best match first, plus the total match count. Only
     /// the best `offset + limit` candidates are ever materialised
     /// (bounded partial selection in the graph layer), so pagination
     /// stays correct *and* cheap at paper scale — no fixed scan cap that
@@ -1381,10 +1254,7 @@ mod tests {
             e.search("nope", &QuerySpec::by_label("A")),
             Err(ExplorerError::UnknownAlgorithm(_))
         ));
-        assert!(matches!(
-            e.search_on(Some("nope"), "acq", &QuerySpec::by_label("A")),
-            Err(ExplorerError::UnknownGraph(_))
-        ));
+        assert!(matches!(e.snapshot(Some("nope")), Err(ExplorerError::UnknownGraph(_))));
         assert!(matches!(
             e.search("acq", &QuerySpec::by_label("nobody")),
             Err(ExplorerError::UnknownVertex(_))
@@ -1466,7 +1336,7 @@ mod tests {
     #[test]
     fn suggest_ranks_matches() {
         let e = engine();
-        let hits = e.suggest(None, "a", 10).unwrap();
+        let (hits, _) = e.suggest_page(None, "a", 0, 10).unwrap();
         assert!(!hits.is_empty());
         assert_eq!(hits[0].1, "A");
     }
@@ -1570,7 +1440,9 @@ mod snapshot_tests {
         // The pinned reader still sees the pre-edit world, index included.
         assert_eq!(old.edge_count(), 11);
         assert_eq!(old.tree.max_core(), 3);
-        let out = e.search_snapshot(&old, "global", &QuerySpec::by_id(a).k(3)).unwrap();
+        let spec = QuerySpec::by_id(a).k(3);
+        let none = CancelToken::none();
+        let out = e.search_snapshot_cancellable(&old, "global", &spec, &none).unwrap();
         assert_eq!(out[0].len(), 4, "K4 intact in the pinned snapshot");
 
         // New requests see the new world.
@@ -1751,13 +1623,17 @@ mod cache_tests {
         let (e, calls) = counting_engine();
         e.add_graph("other", small_collab_graph());
         let spec = QuerySpec::by_id(VertexId(0)).k(2);
-        e.search_on(Some("other"), "counting", &spec).unwrap();
+        let other = |e: &Engine| {
+            let snap = e.snapshot(Some("other")).unwrap();
+            e.search_snapshot_cancellable(&snap, "counting", &spec, &CancelToken::none()).unwrap()
+        };
+        other(&e);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         // Edit fig5: other's generation and cache entries are untouched.
         let snap = e.snapshot(Some("fig5")).unwrap();
         let (a, b) = (snap.vertex_by_label("A").unwrap(), snap.vertex_by_label("B").unwrap());
         e.apply_edits(Some("fig5"), &[], &[(a, b)]).unwrap();
-        e.search_on(Some("other"), "counting", &spec).unwrap();
+        other(&e);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "other graph's cache survives fig5's edit");
     }
 
@@ -1809,13 +1685,17 @@ mod cache_tests {
     fn detect_results_are_cached_per_graph() {
         let e = Engine::with_graph("fig5", figure5_graph());
         e.add_graph("collab", small_collab_graph());
-        let a = e.detect_on(Some("fig5"), "louvain").unwrap();
+        let detect = |graph: &str| {
+            let snap = e.snapshot(Some(graph)).unwrap();
+            e.detect_snapshot_cancellable(&snap, "louvain", &CancelToken::none(), None).unwrap()
+        };
+        let a = detect("fig5");
         let before = e.cache_stats();
-        let b = e.detect_on(Some("fig5"), "louvain").unwrap();
+        let b = detect("fig5");
         assert_eq!(a, b);
         assert_eq!(e.cache_stats().hits, before.hits + 1);
         // A different graph is a different key.
-        let c = e.detect_on(Some("collab"), "louvain").unwrap();
+        let c = detect("collab");
         assert_ne!(a, c);
     }
 
@@ -2116,8 +1996,11 @@ mod persistence_tests {
         assert_eq!(restored.graph_names(), vec!["collab", "fig5"]);
         // Queries answer identically after the round trip.
         let spec = QuerySpec::by_label("A").k(2);
-        let before = e.search_on(Some("fig5"), "acq", &spec).unwrap();
-        let after = restored.search_on(Some("fig5"), "acq", &spec).unwrap();
+        let search = |e: &Engine| {
+            let snap = e.snapshot(Some("fig5")).unwrap();
+            e.search_snapshot_cancellable(&snap, "acq", &spec, &CancelToken::none()).unwrap()
+        };
+        let (before, after) = (search(&e), search(&restored));
         assert_eq!(before, after);
         let _ = std::fs::remove_dir_all(&dir);
     }

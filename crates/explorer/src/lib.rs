@@ -34,6 +34,7 @@ pub mod report;
 
 pub use api::{CdAlgorithm, CsAlgorithm, GraphContext};
 pub use cx_cltree::{Expansion, Hierarchy, NodeId, SupernodeStats};
+pub use cx_par::task::CancelToken;
 pub use compare::{ComparisonReport, ComparisonRow};
 pub use engine::{Engine, GraphIndexEntry, GraphSnapshot, Profile, RegistryIndex};
 pub use profile::ProfileStore;

@@ -4,8 +4,14 @@
 
 use cx_check::{cached_vs_uncached, fingerprint};
 use cx_datagen::{dblp_like, figure5_graph};
-use cx_explorer::{Engine, QuerySpec};
-use cx_graph::VertexId;
+use cx_explorer::{CancelToken, Engine, QuerySpec};
+use cx_graph::{Community, VertexId};
+
+/// One `acq` search pinned to the engine's current default-graph snapshot.
+fn acq(engine: &Engine, spec: &QuerySpec) -> Vec<Community> {
+    let snap = engine.snapshot(None).unwrap();
+    engine.search_snapshot_cancellable(&snap, "acq", spec, &CancelToken::none()).unwrap()
+}
 
 #[test]
 fn cache_oracle_clean_across_algorithms() {
@@ -38,9 +44,9 @@ fn cache_hits_stay_identical_through_interleaved_edits() {
     ];
 
     for (step, (add, remove)) in edit_script.iter().enumerate() {
-        let cold = engine.search_on(None, "acq", &spec).unwrap();
+        let cold = acq(&engine, &spec);
         let hits_before = engine.cache_stats().hits;
-        let warm = engine.search_on(None, "acq", &spec).unwrap();
+        let warm = acq(&engine, &spec);
         assert_eq!(
             engine.cache_stats().hits,
             hits_before + 1,
@@ -56,7 +62,7 @@ fn cache_hits_stay_identical_through_interleaved_edits() {
 
         // A brand-new engine on an identically-edited graph is the oracle
         // for "the cache did not leak a stale answer".
-        let post = engine.search_on(None, "acq", &spec).unwrap();
+        let post = acq(&engine, &spec);
         let reference_engine = {
             let e = Engine::with_graph("fig5", figure5_graph());
             // Replay the whole edit history from scratch.
@@ -65,7 +71,7 @@ fn cache_hits_stay_identical_through_interleaved_edits() {
             }
             e
         };
-        let expected = reference_engine.search_on(None, "acq", &spec).unwrap();
+        let expected = acq(&reference_engine, &spec);
         assert_eq!(
             fingerprint(&post),
             fingerprint(&expected),
@@ -83,13 +89,13 @@ fn capacity_zero_engine_agrees_with_cached_engine() {
     uncached.set_cache_capacity(0);
     for v in [0u32, 7, 23, 41] {
         let spec = QuerySpec::by_id(VertexId(v)).k(2);
-        let a = cached.search_on(None, "acq", &spec).unwrap();
-        let b = uncached.search_on(None, "acq", &spec).unwrap();
+        let a = acq(&cached, &spec);
+        let b = acq(&uncached, &spec);
         assert_eq!(fingerprint(&a), fingerprint(&b), "v={v}");
     }
     // The cached engine must actually be caching (repeat queries hit).
     let before = cached.cache_stats().hits;
-    cached.search_on(None, "acq", &QuerySpec::by_id(VertexId(0)).k(2)).unwrap();
+    acq(&cached, &QuerySpec::by_id(VertexId(0)).k(2));
     assert_eq!(cached.cache_stats().hits, before + 1);
     assert_eq!(uncached.cache_stats().hits, 0);
 }

@@ -533,7 +533,7 @@ impl EventLoop {
             if inflight >= config.max_inflight {
                 // Shed on the loop thread — never occupies a worker.
                 cx_obs::metrics::inc("cx_http_shed_total");
-                let resp = crate::routes::shed_response(&p.request);
+                let resp = crate::routes::shed_response();
                 let keep = p.close_after || conn.read_closed;
                 lock(&conn.shared.out)
                     .slots

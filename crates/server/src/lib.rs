@@ -19,11 +19,11 @@
 //!   `/api/v1/graphs`, `/api/v1/upload`, …) over a shared
 //!   [`cx_explorer::Engine`]. The engine needs no outer lock: read
 //!   handlers pin an immutable graph snapshot (`Engine::snapshot`) and run
-//!   lock-free; write handlers (`/api/v1/edit`, `/upload`) build the next
+//!   lock-free; write handlers (`/api/v1/edit`, `/api/v1/upload`) build the next
 //!   snapshot off-lock and publish it atomically, so edits never block
-//!   concurrent searches. v1 responses use a uniform JSON envelope with
-//!   typed error codes; the unversioned `/api/*` paths remain as
-//!   deprecated thin aliases. Operational endpoints: `GET /metrics`
+//!   concurrent searches. Responses use a uniform JSON envelope with
+//!   typed error codes; any path outside `/api/v1/` is a typed
+//!   `not_found`. Operational endpoints: `GET /metrics`
 //!   (Prometheus text from `cx-obs`), `GET /healthz`,
 //!   `GET /api/v1/trace` (per-request span trees);
 //! * [`ui`] — the embedded single-page browser UI (left panel: name box,

@@ -233,7 +233,7 @@ fn batch_items_all_describe_the_reported_generation() {
 #[test]
 fn pinned_readers_see_whole_bursts_only() {
     use cx_check::{graph_fingerprint, tree_canonical};
-    use cx_explorer::QuerySpec;
+    use cx_explorer::{CancelToken, QuerySpec};
     use cx_graph::VertexId;
 
     const BURSTS: usize = 24;
@@ -302,8 +302,9 @@ fn pinned_readers_see_whole_bursts_only() {
                     }
                     // The pinned snapshot keeps answering while newer
                     // generations are published over it.
+                    let spec = QuerySpec::by_id(hub).k(2);
                     let res = engine
-                        .search_snapshot(&snap, "acq", &QuerySpec::by_id(hub).k(2))
+                        .search_snapshot_cancellable(&snap, "acq", &spec, &CancelToken::none())
                         .unwrap();
                     drop(res);
                 }

@@ -1,7 +1,7 @@
 //! End-to-end contract tests for `POST /api/v1/search_batch` over the
 //! real HTTP stack: mixed valid/invalid members degrade per-slot, item
 //! pagination follows the GET `search` clamp rules, the batch-size cap
-//! is enforced, and the legacy `/api` namespace answers with a typed 404
+//! is enforced, and the unversioned `/api` namespace answers with a typed 404
 //! (the endpoint never existed there).
 
 use std::io::{Read, Write};
@@ -143,5 +143,8 @@ fn legacy_namespace_answers_typed_not_found() {
     let (status, resp) = http_post(port, "/api/search_batch", r#"{"queries":[{"name":"A"}]}"#);
     assert_eq!(status, 404, "{resp}");
     let v = Json::parse(&resp).unwrap();
-    assert_eq!(v.get("code").and_then(Json::as_str), Some("not_found"));
+    assert_eq!(
+        v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+        Some("not_found")
+    );
 }

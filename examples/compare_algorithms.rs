@@ -19,7 +19,8 @@ fn main() {
     let engine = Engine::with_graph("dblp", graph);
     let spec = QuerySpec::by_label(label).k(k);
     let methods = ["global", "local", "codicil", "acq"];
-    let report = engine.compare(None, &methods, &spec).expect("compare failed");
+    let report =
+        engine.compare(None, &methods, &spec, &CancelToken::none()).expect("compare failed");
 
     println!("Community statistics (the Figure 6(a) table):");
     println!("{}", report.table());

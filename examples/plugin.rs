@@ -62,7 +62,7 @@ fn main() {
 
     // …and comparable against the built-ins in the Analysis view.
     let report = engine
-        .compare(None, &["global", "local", "acq", "ego2"], &spec)
+        .compare(None, &["global", "local", "acq", "ego2"], &spec, &CancelToken::none())
         .expect("comparison failed");
     println!("\n{}", report.table());
     println!("{}", report.quality_charts());

@@ -35,7 +35,12 @@ fn main() {
 
     // Compare against the other algorithms on the same query.
     let report = engine
-        .compare(None, &["global", "local", "acq"], &QuerySpec::by_label("A").k(2))
+        .compare(
+            None,
+            &["global", "local", "acq"],
+            &QuerySpec::by_label("A").k(2),
+            &CancelToken::none(),
+        )
         .expect("compare failed");
     println!("\n{}", report.table());
 

@@ -42,22 +42,22 @@ echo "== query_hotpath smoke (0 allocs/query, engine median <= 0.4ms, CX_THREADS
 CX_THREADS=8 cargo run -q --release -p cx-bench --bin query_hotpath -- 20000 2 --smoke --max-engine-ms 0.4
 
 echo "== concurrent_reads smoke (reader p99 under writer ≤ 2x, CX_THREADS=1) =="
-CX_THREADS=1 cargo run -q --release -p cx-bench --bin concurrent_reads -- 5000 20
+CX_THREADS=1 cargo run -q --release -p cx-bench --bin concurrent_reads -- 5000 20 --smoke
 
 echo "== concurrent_reads smoke (reader p99 under writer ≤ 2x, CX_THREADS=8) =="
-CX_THREADS=8 cargo run -q --release -p cx-bench --bin concurrent_reads -- 5000 20
+CX_THREADS=8 cargo run -q --release -p cx-bench --bin concurrent_reads -- 5000 20 --smoke
 
 echo "== http_throughput smoke (keep-alive fleet, 2x-overload shed, 50ms deadline probe, CX_THREADS=1) =="
-CX_THREADS=1 cargo run -q --release -p cx-bench --bin http_throughput -- 2000 64 5 100000
+CX_THREADS=1 cargo run -q --release -p cx-bench --bin http_throughput -- 2000 64 5 100000 --smoke
 
 echo "== http_throughput smoke (keep-alive fleet, 2x-overload shed, 50ms deadline probe, CX_THREADS=8) =="
-CX_THREADS=8 cargo run -q --release -p cx-bench --bin http_throughput -- 2000 64 5 100000
+CX_THREADS=8 cargo run -q --release -p cx-bench --bin http_throughput -- 2000 64 5 100000 --smoke
 
 echo "== obs_overhead smoke (instrumented vs CX_OBS=off, 5% acceptance) =="
 cargo run -q --release -p cx-bench --bin obs_overhead -- 4000 100
 
 echo "== edit_latency smoke (incremental vs full rebuild ≥ 2x at 4k) =="
-cargo run -q --release -p cx-bench --bin edit_latency -- 4000 10 2
+cargo run -q --release -p cx-bench --bin edit_latency -- 4000 10 2 --smoke
 
 echo "== memory_footprint smoke (u32 CSR + interned profiles ≥ 30% under legacy, CX_THREADS=1) =="
 CX_THREADS=1 cargo run -q --release -p cx-bench --bin memory_footprint -- 100000 --smoke

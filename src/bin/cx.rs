@@ -203,7 +203,9 @@ fn run(args: &[String]) -> Result<(), String> {
             let algos: Vec<&str> = algos_csv.split(',').filter(|s| !s.is_empty()).collect();
             let engine = Engine::with_graph("g", g);
             let spec = QuerySpec::by_label(name).k(k);
-            let report = engine.compare(None, &algos, &spec).map_err(|e| e.to_string())?;
+            let report = engine
+                .compare(None, &algos, &spec, &CancelToken::none())
+                .map_err(|e| e.to_string())?;
             println!("{}", report.table());
             println!("{}", report.quality_charts());
             Ok(())

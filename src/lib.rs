@@ -49,7 +49,7 @@ pub mod prelude {
     pub use cx_algos::{codicil::CodicilParams, global::Global, local::Local};
     pub use cx_cltree::ClTree;
     pub use cx_datagen::{dblp_like, DblpParams};
-    pub use cx_explorer::{CommunityReport, Engine, QuerySpec};
+    pub use cx_explorer::{CancelToken, CommunityReport, Engine, QuerySpec};
     pub use cx_graph::{
         AttributedGraph, Community, GraphBuilder, KeywordId, VertexId,
     };

@@ -86,7 +86,7 @@ fn demonstration_comparison_analysis() {
     let name = engine.snapshot(None).unwrap().label(hub).to_owned();
     let spec = QuerySpec::by_label(name).k(4);
     let report = engine
-        .compare(None, &["global", "local", "codicil", "acq"], &spec)
+        .compare(None, &["global", "local", "codicil", "acq"], &spec, &CancelToken::none())
         .unwrap();
 
     // The statistics table has all four rows with live numbers.
@@ -122,9 +122,10 @@ fn demonstration_full_facilities() {
 
     // Graph selector: switch to the paper's example graph and back.
     assert_eq!(engine.graph_names(), vec!["dblp", "figure5"]);
-    let fig5 = engine
-        .search_on(Some("figure5"), "acq", &QuerySpec::by_label("A").k(2))
-        .unwrap();
+    let figure5 = engine.snapshot(Some("figure5")).unwrap();
+    let spec = QuerySpec::by_label("A").k(2);
+    let fig5 =
+        engine.search_snapshot_cancellable(&figure5, "acq", &spec, &CancelToken::none()).unwrap();
     assert_eq!(fig5[0].len(), 3);
 
     // Spatial-aware search (coordinates were installed at setup).

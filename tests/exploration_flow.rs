@@ -92,12 +92,12 @@ fn multi_vertex_plus_button() {
 #[test]
 fn suggestion_box_finds_authors() {
     let engine = demo_engine(1000);
-    let hits = engine.suggest(None, "author-1", 5).unwrap();
+    let (hits, _) = engine.suggest_page(None, "author-1", 0, 5).unwrap();
     assert!(!hits.is_empty());
     assert!(hits.len() <= 5);
     assert!(hits[0].1.contains("author-1"));
     // Exact match ranks first.
-    let exact = engine.suggest(None, "author-42", 5).unwrap();
+    let (exact, _) = engine.suggest_page(None, "author-42", 0, 5).unwrap();
     assert_eq!(exact[0].1, "author-42");
 }
 

@@ -62,7 +62,8 @@ fn figure6a_shape() {
     let label = g.label(hub).to_owned();
     let engine = Engine::with_graph("dblp", g);
     let spec = QuerySpec::by_label(label).k(4);
-    let report = engine.compare(None, &["global", "local", "acq"], &spec).unwrap();
+    let none = CancelToken::none();
+    let report = engine.compare(None, &["global", "local", "acq"], &spec, &none).unwrap();
     let row = |m: &str| report.rows.iter().find(|r| r.method == m).unwrap();
 
     assert!(row("global").communities == 1);
