@@ -17,8 +17,11 @@
 //!    ever saw that graph version, and generations must advance.
 //! 6. **Incremental differential** — a seeded edit script replayed
 //!    through the incremental write path: after every step the patched
-//!    graph, maintained core numbers, repaired CL-tree and a live query
-//!    must all match a from-scratch rebuild of the same edge set.
+//!    graph, maintained core numbers, repaired CL-tree, carried-forward
+//!    summary hierarchy and a live query must all match a from-scratch
+//!    rebuild of the same edge set. Besides the random script per matrix
+//!    graph, targeted scripts force each case of the edit-local repair
+//!    (`cx_check::local_repair_cases`).
 //! 7. **Thread differential** — fingerprints at CX_THREADS=1 vs. N.
 //! 8. **Scratch-reuse differential** — the pooled zero-alloc query path
 //!    vs. a deliberately dirtied caller-managed scratch, at 1 and 8
@@ -41,7 +44,8 @@ use cx_check::oracle::thread_differential;
 use cx_check::{
     acq_strategy_differential, bitset_prune_differential, cached_vs_uncached, check_acq_result,
     edit_script, fingerprint, fuzz_server, graph_matrix, hierarchy_reconstruction,
-    incremental_vs_scratch, kill_replay, query_workload, scratch_reuse_differential,
+    incremental_vs_scratch, kill_replay, local_repair_cases, query_workload,
+    scratch_reuse_differential,
     snapshot_pinning_differential, FuzzParams, KillReplayParams,
 };
 use cx_cltree::ClTree;
@@ -256,6 +260,20 @@ fn main() {
             }
         }
         println!("  {} ok ({} vertices, {} edges)", case.name, g.vertex_count(), g.edge_count());
+    }
+
+    // Edit-local repair cases: scripts built to force each local case of
+    // the CL-tree and hierarchy repair (splits at several levels, drop
+    // cascades, rise merges, hub batches, the benchmark's edit mix), each
+    // checked step by step against a from-scratch rebuild.
+    for &seed in &args.seeds {
+        for case in local_repair_cases(seed) {
+            let spec = QuerySpec::by_id(case.query).k(2);
+            for m in incremental_vs_scratch(&case.graph, &case.script, "acq", &spec) {
+                problems.push(format!("{}/s{seed} {}", case.name, m));
+            }
+            println!("  {}/s{seed} ok ({} steps)", case.name, case.script.len());
+        }
     }
 
     // API fuzz: one server seeded with the figure-5 fixture plus a small

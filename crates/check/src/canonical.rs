@@ -218,11 +218,11 @@ mod tests {
         let d1 = g.edge_delta(&[], &[(VertexId(0), VertexId(1))]).unwrap();
         let g1 = g.apply_delta(&d1);
         let c1 = cx_kcore::CoreDecomposition::compute(&g1);
-        let t1 = tree.update(&g1, &d1, c1.core_numbers());
+        let (t1, _) = tree.update(&g1, &d1, c1.core_numbers());
         let d2 = g1.edge_delta(&[(VertexId(0), VertexId(1))], &[]).unwrap();
         let g2 = g1.apply_delta(&d2);
         let c2 = cx_kcore::CoreDecomposition::compute(&g2);
-        let t2 = t1.update(&g2, &d2, c2.core_numbers());
+        let (t2, _) = t1.update(&g2, &d2, c2.core_numbers());
         assert_eq!(tree_canonical(&tree), tree_canonical(&t2));
         assert_ne!(tree_canonical(&tree), tree_canonical(&t1));
     }

@@ -140,6 +140,43 @@ pub fn hierarchy_reconstruction(
     problems
 }
 
+/// Id-independent rendering of every supernode's aggregates, one line
+/// per node, sorted. A node is named by its level and the sorted vertex
+/// set of its subtree (its k-core component), its parent the same way,
+/// so two hierarchies over structurally equal trees render identically
+/// iff every supernode carries the same stats — whatever ids the trees
+/// assign.
+pub fn hierarchy_canonical(tree: &ClTree, h: &Hierarchy) -> Vec<String> {
+    let name = |id: NodeId| {
+        let vs: Vec<String> = tree.subtree_vertices(id).iter().map(|v| v.0.to_string()).collect();
+        format!("L{}{{{}}}", tree.node(id).level, vs.join(","))
+    };
+    let mut lines: Vec<String> = tree
+        .iter_nodes()
+        .map(|(id, _)| {
+            let s = h.stats(id);
+            let top: Vec<String> =
+                s.top_keywords.iter().map(|(w, c)| format!("{}x{c}", w.0)).collect();
+            format!(
+                "{} parent={} level={} residents={} subtree={} owned={} subtree_edges={} \
+                 sum_degree={} max_degree={} top=[{}]",
+                name(id),
+                s.parent.map_or_else(|| "-".to_owned(), name),
+                s.level,
+                s.residents,
+                s.subtree_vertices,
+                s.owned_edges,
+                s.subtree_edges,
+                s.sum_degree,
+                s.max_degree,
+                top.join(",")
+            )
+        })
+        .collect();
+    lines.sort_unstable();
+    lines
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@ pub mod workload;
 
 pub use canonical::{canonicalize, diff_results, fingerprint, graph_fingerprint, tree_canonical};
 pub use fuzz::{fuzz_server, FuzzParams, FuzzReport};
-pub use hierarchy::hierarchy_reconstruction;
+pub use hierarchy::{hierarchy_canonical, hierarchy_reconstruction};
 pub use killreplay::{kill_replay, KillReplayParams, KillReplayReport};
 pub use invariants::{
     check_acq_result, check_community, check_ktruss_community, Violation,
@@ -62,4 +62,7 @@ pub use oracle::{
     incremental_vs_scratch, rebuild_with_edges, scratch_reuse_differential,
     snapshot_pinning_differential, with_prune, with_threads, Mismatch,
 };
-pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};
+pub use workload::{
+    edit_script, graph_matrix, local_repair_cases, query_workload, EditCase, EditStep, GraphCase,
+    QueryCase,
+};

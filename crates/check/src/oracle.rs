@@ -17,12 +17,13 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 
 use cx_acq::{acq, AcqOptions, AcqResult, AcqStrategy};
-use cx_cltree::ClTree;
+use cx_cltree::{ClTree, Hierarchy};
 use cx_explorer::{CancelToken, Engine, ExplorerError, QuerySpec};
 use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_kcore::CoreDecomposition;
 
 use crate::canonical::{diff_results, fingerprint, graph_fingerprint, tree_canonical};
+use crate::hierarchy::hierarchy_canonical;
 use crate::workload::EditStep;
 
 /// One disagreement between two paths that must agree.
@@ -242,7 +243,11 @@ pub fn snapshot_pinning_differential(
 /// 3. the CL-tree's id-independent canonical form vs. a fresh
 ///    [`ClTree::build`] (inverted lists expanded, so a stale `Arc`-reused
 ///    keyword index is caught),
-/// 4. one community query answered by both engines.
+/// 4. the summary hierarchy the engine carried forward across the edit
+///    (built once before the script, then only ever repaired by
+///    `Hierarchy::update`) vs. [`Hierarchy::build`] on the fresh tree,
+///    node by node, matched by vertex set rather than id,
+/// 5. one community query answered by both engines.
 ///
 /// The scratch side is constructed directly (builder + fresh index), so
 /// the oracle shares no code with the write path it checks.
@@ -256,6 +261,8 @@ pub fn incremental_vs_scratch(
     let norm = |&(u, v): &(VertexId, VertexId)| if u < v { (u, v) } else { (v, u) };
     let mut mismatches = Vec::new();
     let inc = Engine::with_graph("check", g.clone());
+    // Seed the hierarchy so every edit carries it forward.
+    inc.snapshot(None).expect("graph was just added").hierarchy();
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
     for (step_no, step) in script.iter().enumerate() {
         let context = format!("step {step_no} (+{} -{})", step.add.len(), step.remove.len());
@@ -292,6 +299,22 @@ pub fn incremental_vs_scratch(
         let scratch_tree = ClTree::build(&scratch_graph);
         if tree_canonical(&snap.tree) != tree_canonical(&scratch_tree) {
             mismatches.push(mismatch("CL-tree canonical forms diverge".into()));
+        } else {
+            match snap.hierarchy_cached() {
+                None => mismatches.push(mismatch("the edit dropped the carried hierarchy".into())),
+                Some(carried) => {
+                    let fresh = Hierarchy::build(&scratch_graph, &scratch_tree);
+                    let (a, b) = (
+                        hierarchy_canonical(&snap.tree, &carried),
+                        hierarchy_canonical(&scratch_tree, &fresh),
+                    );
+                    if let Some(line) = b.iter().find(|l| !a.contains(l)) {
+                        mismatches.push(mismatch(format!(
+                            "carried hierarchy diverges from a fresh build; fresh has {line}"
+                        )));
+                    }
+                }
+            }
         }
         let scratch_engine = Engine::with_graph("check", scratch_graph);
         match (pinned_search(&inc, algo, spec), pinned_search(&scratch_engine, algo, spec)) {

@@ -193,6 +193,168 @@ pub fn edit_script(g: &AttributedGraph, steps: usize, seed: u64) -> Vec<EditStep
     out
 }
 
+/// A named graph with an edit script built to drive one case of the
+/// edit-local CL-tree repair, and a vertex to query after every step.
+pub struct EditCase {
+    /// Stable display name, e.g. `repair/bridge-split`.
+    pub name: String,
+    /// The graph before the script.
+    pub graph: AttributedGraph,
+    /// The edits, applied one step at a time.
+    pub script: Vec<EditStep>,
+    /// The query vertex for the per-step community check.
+    pub query: VertexId,
+}
+
+/// Seeded edit scripts that force each case of the edit-local repair
+/// (see `cx_cltree::update`):
+///
+/// * `bridge-split` — two 5-cores joined by one edge; removing it splits
+///   the component at every level 1..5, re-adding merges it back;
+/// * `drop-cascade` — two 3-cores on a cycle of degree-2 vertices; cutting
+///   the cycle drops all of them to core 1 and disconnects the 2-core
+///   component, re-closing it raises them back;
+/// * `rise-merge` — a vertex on the cycle gains a third edge into the
+///   3-cores, rises to core 3 and merges the two sibling 3-cores;
+/// * `hub-batch` — 16-edge batches mixing adds and removes around one
+///   hub of a generated graph;
+/// * `hub-script` — single edges and 16-edge batches at the top hubs of a
+///   graph of the benchmark's shape (`DblpParams::paper_scale` at 2,000
+///   authors), mirroring its edit mix.
+///
+/// Hubs are taken below the top core level; scripts that do reach it
+/// still run, through the rebuild fallback.
+pub fn local_repair_cases(seed: u64) -> Vec<EditCase> {
+    let v = VertexId;
+    let step = |add: &[(u32, u32)], remove: &[(u32, u32)]| EditStep {
+        add: add.iter().map(|&(a, b)| (v(a), v(b))).collect(),
+        remove: remove.iter().map(|&(a, b)| (v(a), v(b))).collect(),
+    };
+    let clique = |base: u32, size: u32| -> Vec<(u32, u32)> {
+        (0..size).flat_map(|i| ((i + 1)..size).map(move |j| (base + i, base + j))).collect()
+    };
+    // Each small graph also holds a separate K8 (vertices n..n+8): a
+    // 7-core above every edited level, so the repair runs edit-locally
+    // instead of falling back to a rebuild when nothing survives above L.
+    let build = |n: u32, edges: &[(u32, u32)]| {
+        let mut b = cx_graph::GraphBuilder::new();
+        for i in 0..n + 8 {
+            b.add_vertex(&format!("v{i}"), &[&format!("k{}", i % 3), &format!("m{}", i % 5)]);
+        }
+        for (x, y) in edges.iter().copied().chain(clique(n, 8)) {
+            b.add_edge(v(x), v(y));
+        }
+        b.build()
+    };
+
+    // Two K6 joined by the bridge 5–6, a tail 0–12–13, an isolated 14.
+    let mut edges = clique(0, 6);
+    edges.extend(clique(6, 6));
+    edges.extend([(5, 6), (0, 12), (12, 13)]);
+    let bridge = EditCase {
+        name: "repair/bridge-split".into(),
+        graph: build(15, &edges),
+        script: vec![
+            step(&[], &[(5, 6)]),
+            step(&[(5, 6)], &[]),
+            step(&[(4, 7), (13, 14)], &[(5, 6)]),
+            step(&[(5, 6)], &[(4, 7), (13, 14)]),
+            step(&[], &[(5, 6), (0, 12)]),
+            step(&[(0, 12), (5, 6)], &[]),
+        ],
+        query: v(0),
+    };
+
+    // K4s 0..3 and 4..7 on the cycle 3–8–9–4 … 7–10–0; 11 isolated.
+    let mut edges = clique(0, 4);
+    edges.extend(clique(4, 4));
+    edges.extend([(3, 8), (8, 9), (9, 4), (7, 10), (10, 0)]);
+    let cascade = EditCase {
+        name: "repair/drop-cascade".into(),
+        graph: build(12, &edges),
+        script: vec![
+            step(&[], &[(8, 9)]),
+            step(&[(8, 9)], &[]),
+            step(&[(11, 8)], &[(10, 0)]),
+            step(&[(10, 0)], &[(11, 8), (9, 4)]),
+            step(&[(9, 4)], &[]),
+        ],
+        query: v(8),
+    };
+
+    // K4s 0..3 and 4..7; 8 joins 0 and 4, 9 closes the cycle 7–9–3.
+    let mut edges = clique(0, 4);
+    edges.extend(clique(4, 4));
+    edges.extend([(8, 0), (8, 4), (7, 9), (9, 3)]);
+    let rise = EditCase {
+        name: "repair/rise-merge".into(),
+        graph: build(10, &edges),
+        script: vec![
+            step(&[(8, 1)], &[]),
+            step(&[], &[(8, 1)]),
+            step(&[(8, 1), (8, 5)], &[]),
+            step(&[], &[(8, 0), (8, 4)]),
+            step(&[(8, 0), (8, 4)], &[(8, 1), (8, 5)]),
+        ],
+        query: v(8),
+    };
+
+    let (hub_graph, _) = dblp_like(&check_params(300, seed));
+    let hub_batch = hub_case("repair/hub-batch", hub_graph, 1, 4, 1, seed);
+    let (bench_graph, _) =
+        dblp_like(&DblpParams { authors: 2_000, ..DblpParams::paper_scale(seed) });
+    let hub_script = hub_case("repair/hub-script", bench_graph, 50, 30, 5, seed);
+    vec![bridge, cascade, rise, hub_batch, hub_script]
+}
+
+/// `steps` edits at the `hubs` highest-degree vertices below the top
+/// core level (an edit reaching the top level is rebuilt, not repaired):
+/// every `batch_every`-th step a 16-edge batch, the others one edge. An
+/// edge either removes one of the hub's edges or adds a
+/// friend-of-a-friend co-authorship, half and half.
+fn hub_case(
+    name: &str,
+    graph: AttributedGraph,
+    hubs: usize,
+    steps: usize,
+    batch_every: usize,
+    seed: u64,
+) -> EditCase {
+    let mut rng = Rng64::seed_from_u64(seed ^ 0x4B0B_5C21);
+    let cores = cx_kcore::CoreDecomposition::compute(&graph);
+    let mut by_degree: Vec<VertexId> =
+        graph.vertices().filter(|&u| cores.core(u) < cores.max_core()).collect();
+    by_degree.sort_by_key(|&u| (std::cmp::Reverse(graph.degree(u)), u.0));
+    by_degree.truncate(hubs.max(1));
+    let mut g = graph.clone();
+    let mut script = Vec::with_capacity(steps);
+    for i in 0..steps {
+        let edges = if i % batch_every == batch_every - 1 { 16 } else { 1 };
+        let mut step = EditStep::default();
+        for _ in 0..edges {
+            let u = by_degree[(rng.next_u64() % by_degree.len() as u64) as usize];
+            let nbrs = g.neighbors(u);
+            if nbrs.is_empty() {
+                continue;
+            }
+            let w = nbrs[(rng.next_u64() % nbrs.len() as u64) as usize];
+            if rng.next_u64() % 2 == 0 {
+                step.remove.push((u, w));
+                continue;
+            }
+            let second = g.neighbors(w);
+            let x = second[(rng.next_u64() % second.len() as u64) as usize];
+            if x != u && !g.has_edge(u, x) {
+                step.add.push((u, x));
+            }
+        }
+        let delta = g.edge_delta(&step.add, &step.remove).expect("script endpoints exist");
+        g = g.apply_delta(&delta);
+        script.push(step);
+    }
+    EditCase { name: name.into(), graph, script, query: by_degree[0] }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

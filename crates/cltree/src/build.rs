@@ -138,7 +138,7 @@ impl ClTree {
         });
 
         // Subtree keyword signatures, bottom-up over the finished arena.
-        compute_signatures(&mut nodes, u32::MAX);
+        compute_signatures(&mut nodes);
 
         Self { nodes, root, node_of, core, max_core }
     }

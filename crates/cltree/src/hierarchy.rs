@@ -32,17 +32,18 @@
 
 use std::collections::HashMap;
 
-use cx_graph::{AttributedGraph, KeywordId, VertexId};
+use cx_graph::{AttributedGraph, EdgeDelta, KeywordId, VertexId};
 
 use crate::build::ClTree;
 use crate::node::NodeId;
+use crate::update::{RepairedNode, TreeRepair};
 
 /// How many top keywords each supernode keeps.
 pub const TOP_KEYWORDS: usize = 8;
 
 /// Aggregated statistics for one supernode (one CL-tree node standing for
 /// its whole subtree).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SupernodeStats {
     /// The CL-tree level (k of the k-core component).
     pub level: u32,
@@ -90,6 +91,10 @@ pub struct Expansion {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     stats: Vec<SupernodeStats>,
+    /// Per node: `(sum, max)` of its own residents' degrees — the part of
+    /// `sum_degree`/`max_degree` that [`Hierarchy::update`] moves by the
+    /// edit instead of recomputing.
+    own_degree: Vec<(u64, u32)>,
     max_level: u32,
 }
 
@@ -97,30 +102,6 @@ impl Hierarchy {
     /// Builds the hierarchy for `g` and its CL-tree: one O(m) edge
     ///-ownership scan plus one post-order aggregation sweep.
     pub fn build(g: &AttributedGraph, tree: &ClTree) -> Self {
-        Self::build_reusing(g, tree, None)
-    }
-
-    /// Rebuilds aggregates after an incremental [`ClTree::update`],
-    /// reusing the expensive per-subtree keyword merge for every subtree
-    /// the update carried over unchanged (detected through the `Arc`
-    /// identity of the nodes' inverted lists — shared exactly when a
-    /// node's `(level, vertices)` survived). Degree and edge columns are
-    /// always recomputed: an edge edit changes degrees even where core
-    /// numbers, and hence the tree, did not move.
-    pub fn update(
-        g: &AttributedGraph,
-        tree: &ClTree,
-        prev_tree: &ClTree,
-        prev: &Hierarchy,
-    ) -> Self {
-        Self::build_reusing(g, tree, Some((prev_tree, prev)))
-    }
-
-    fn build_reusing(
-        g: &AttributedGraph,
-        tree: &ClTree,
-        prev: Option<(&ClTree, &Hierarchy)>,
-    ) -> Self {
         let _span = cx_obs::span("cltree.hierarchy.build");
         let nn = tree.node_count();
         let mut stats: Vec<SupernodeStats> = tree
@@ -141,57 +122,18 @@ impl Hierarchy {
         // Edge-ownership scan: every undirected edge counted once at the
         // node of its smaller-core endpoint (see module docs).
         for v in g.vertices() {
-            let cv = tree.core(v);
-            for &u in g.neighbors(v) {
-                let cu = tree.core(u);
-                // Count once: strictly smaller core owns outright; on a
-                // core tie both endpoints share a node, so take v < u.
-                if cv < cu || (cv == cu && v < u) {
-                    stats[tree.node_of(v).index()].owned_edges += 1;
-                }
-            }
+            stats[tree.node_of(v).index()].owned_edges += owned_by(g, tree.core_numbers(), v);
         }
-
-        // Which old subtree, if any, is carried over verbatim — keyed by
-        // the Arc pointer of the node's inverted list.
-        let reuse = prev.map(|(pt, ph)| PreservedSubtrees::scan(tree, pt, ph));
+        let own_degree: Vec<(u64, u32)> =
+            tree.iter_nodes().map(|(_, node)| resident_degrees(g, &node.vertices)).collect();
 
         // Post-order sweep: children before parents. An explicit stack
         // keeps us safe on adversarially deep trees.
-        let order = post_order(tree);
         let mut kw: Vec<HashMap<KeywordId, u32>> = vec![HashMap::new(); nn];
-        for &nid in &order {
+        for nid in post_order(tree) {
             let node = tree.node(nid);
             let i = nid.index();
-
-            let mut sub_v = node.vertices.len() as u64;
-            let mut sub_e = stats[i].owned_edges;
-            let mut sum_d = 0u64;
-            let mut max_d = 0u32;
-            for &v in &node.vertices {
-                let d = g.degree(v) as u64;
-                sum_d += d;
-                max_d = max_d.max(d as u32);
-            }
-            for &c in &node.children {
-                let cs = &stats[c.index()];
-                sub_v += cs.subtree_vertices as u64;
-                sub_e += cs.subtree_edges;
-                sum_d += cs.sum_degree;
-                max_d = max_d.max(cs.max_degree);
-            }
-            stats[i].subtree_vertices = sub_v as u32;
-            stats[i].subtree_edges = sub_e;
-            stats[i].sum_degree = sum_d;
-            stats[i].max_degree = max_d;
-
-            if let Some(preserved) = reuse.as_ref().and_then(|r| r.old_of(nid)) {
-                // Whole subtree carried over: take the old top keywords
-                // and skip the merge below it entirely (children maps are
-                // empty because they were skipped the same way).
-                stats[i].top_keywords = preserved.clone();
-                continue;
-            }
+            aggregate(&mut stats, tree, nid, own_degree[i]);
             // Merge children's subtree keyword counts into this node's,
             // largest map first to bound rehashing.
             let mut acc = std::mem::take(&mut kw[i]);
@@ -210,7 +152,131 @@ impl Hierarchy {
             kw[i] = acc;
         }
 
-        Self { stats, max_level: tree.max_core() }
+        Self { stats, own_degree, max_level: tree.max_core() }
+    }
+
+    /// Carries the hierarchy of `prev_tree` across one [`ClTree::update`]
+    /// (`tree` is its result on the post-edit graph `g`, `repair` its
+    /// record, `delta` the edit). Only the repaired nodes, the nodes
+    /// holding a vertex whose degree, core or node changed, and their
+    /// ancestors are recomputed; every other supernode keeps its stats.
+    ///
+    /// * Own columns move by the edit: each node starts from the old
+    ///   nodes whose residents it took over wholesale, and every vertex
+    ///   that moved, lost or gained an edge, changed core or neighbours
+    ///   one that did has its old contribution (edge ownership, degree)
+    ///   taken out of its old node and its new one put into its new node.
+    /// * Subtree columns are re-summed from the children.
+    /// * Top keywords are carried when the subtree's vertex set did not
+    ///   change, derived from the source's list plus the moved vertices
+    ///   when that provably settles the top [`TOP_KEYWORDS`], and
+    ///   recounted over the subtree otherwise.
+    ///
+    /// The result equals [`Hierarchy::build`] on `(g, tree)`.
+    pub fn update(
+        g: &AttributedGraph,
+        tree: &ClTree,
+        delta: &EdgeDelta,
+        repair: &TreeRepair,
+        prev_tree: &ClTree,
+        prev: &Hierarchy,
+    ) -> Self {
+        if repair.rebuilt {
+            return Self::build(g, tree);
+        }
+        let _span = cx_obs::span("cltree.hierarchy.update");
+        let nn = tree.node_count();
+        // Start every node from the old nodes whose residents it took
+        // over wholesale; a carried node has exactly one, whose stats it
+        // keeps unless it turns out dirty below.
+        let mut stats = vec![SupernodeStats::default(); nn];
+        let mut own_edges = vec![0i64; nn];
+        let mut own_sum = vec![0i64; nn];
+        let mut own_max = vec![0u32; nn];
+        let mut rescan = vec![false; nn];
+        for (old, slot) in repair.old_to_new.iter().enumerate() {
+            let Some(new) = *slot else { continue };
+            let (i, s) = (new.index(), &prev.stats[old]);
+            own_edges[i] += s.owned_edges as i64;
+            own_sum[i] += prev.own_degree[old].0 as i64;
+            own_max[i] = own_max[i].max(prev.own_degree[old].1);
+            stats[i] = SupernodeStats { parent: tree.node(new).parent, ..s.clone() };
+        }
+
+        // Vertices whose contribution may differ from the wholesale move:
+        // take the old one out of the old node's heir, put the new one in.
+        let mut added_adj: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        let mut removed_adj: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        for &(u, v) in &delta.added {
+            added_adj.entry(u).or_default().push(v);
+            added_adj.entry(v).or_default().push(u);
+        }
+        for &(u, v) in &delta.removed {
+            removed_adj.entry(u).or_default().push(v);
+            removed_adj.entry(v).or_default().push(u);
+        }
+        let mut touched: Vec<VertexId> = repair.moved.clone();
+        touched.extend(added_adj.keys().chain(removed_adj.keys()));
+        for &v in &repair.core_changed {
+            touched.push(v);
+            touched.extend_from_slice(g.neighbors(v));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let (old_cores, new_cores) = (prev_tree.core_numbers(), tree.core_numbers());
+        let mut dirty: Vec<NodeId> = repair.repaired.iter().map(|r| r.id).collect();
+        for v in touched {
+            let plus = added_adj.get(&v).map_or(&[][..], Vec::as_slice);
+            let minus = removed_adj.get(&v).map_or(&[][..], Vec::as_slice);
+            let old_neighbors =
+                g.neighbors(v).iter().filter(|u| !plus.contains(u)).chain(minus);
+            let old_owned = old_neighbors.filter(|&&u| owns(old_cores, v, u)).count() as i64;
+            let old_degree = g.degree(v) - plus.len() + minus.len();
+            if let Some(heir) = repair.old_to_new[prev_tree.node_of(v).index()] {
+                let i = heir.index();
+                own_edges[i] -= old_owned;
+                own_sum[i] -= old_degree as i64;
+                rescan[i] |= old_degree as u32 >= own_max[i];
+                dirty.push(heir);
+            }
+            let new = tree.node_of(v);
+            let i = new.index();
+            own_edges[i] += owned_by(g, new_cores, v) as i64;
+            own_sum[i] += g.degree(v) as i64;
+            own_max[i] = own_max[i].max(g.degree(v) as u32);
+            dirty.push(new);
+        }
+
+        // Dirty nodes and all their ancestors, children before parents.
+        let mut walked = vec![false; nn];
+        let mut order: Vec<NodeId> = Vec::new();
+        for id in dirty {
+            let mut cur = Some(id);
+            while let Some(c) = cur.filter(|c| !walked[c.index()]) {
+                walked[c.index()] = true;
+                order.push(c);
+                cur = tree.node(c).parent;
+            }
+        }
+        order.sort_unstable_by_key(|&id| std::cmp::Reverse(tree.node(id).level));
+        let by_id: HashMap<NodeId, &RepairedNode> =
+            repair.repaired.iter().map(|r| (r.id, r)).collect();
+        for id in order {
+            let (i, node) = (id.index(), tree.node(id));
+            if rescan[i] {
+                own_max[i] = resident_degrees(g, &node.vertices).1;
+            }
+            stats[i].level = node.level;
+            stats[i].parent = node.parent;
+            stats[i].residents = node.vertices.len() as u32;
+            stats[i].owned_edges = own_edges[i] as u64;
+            aggregate(&mut stats, tree, id, (own_sum[i] as u64, own_max[i]));
+            if let Some(r) = by_id.get(&id) {
+                stats[i].top_keywords = repaired_top_keywords(g, tree, prev, r);
+            }
+        }
+        let own_degree = own_sum.into_iter().map(|s| s as u64).zip(own_max).collect();
+        Self { stats, own_degree, max_level: tree.max_core() }
     }
 
     /// The deepest level at which any supernode exists.
@@ -390,54 +456,151 @@ fn top_k(counts: &HashMap<KeywordId, u32>) -> Vec<(KeywordId, u32)> {
     all
 }
 
-/// For [`Hierarchy::update`]: which new nodes root a subtree carried over
-/// verbatim from the previous tree, mapped to the old top-keyword lists.
-struct PreservedSubtrees {
-    /// New node id → old node's `top_keywords`, for fully preserved subtrees.
-    preserved: HashMap<NodeId, Vec<(KeywordId, u32)>>,
+/// Number of edges `v` owns: those to a neighbour of higher core, or of
+/// equal core and higher id (see module docs).
+fn owned_by(g: &AttributedGraph, cores: &[u32], v: VertexId) -> u64 {
+    g.neighbors(v).iter().filter(|&&u| owns(cores, v, u)).count() as u64
 }
 
-impl PreservedSubtrees {
-    fn scan(tree: &ClTree, prev_tree: &ClTree, prev: &Hierarchy) -> Self {
-        // Old inverted-list Arc pointer → old node id. Sharing happens
-        // exactly when ClTree::update carried the node.
-        let mut old_by_ptr: HashMap<*const (), NodeId> = HashMap::new();
-        for (oid, onode) in prev_tree.iter_nodes() {
-            old_by_ptr.insert(std::sync::Arc::as_ptr(&onode.inverted) as *const (), oid);
-        }
-        // Bottom-up: a subtree is preserved when its root shares its
-        // inverted Arc with old node `o` AND its children's subtrees are
-        // preserved AND they map exactly onto o's children.
-        let mut map_of: HashMap<NodeId, NodeId> = HashMap::new(); // new → old
-        let mut preserved = HashMap::new();
-        for nid in post_order(tree) {
-            let node = tree.node(nid);
-            let Some(&old) =
-                old_by_ptr.get(&(std::sync::Arc::as_ptr(&node.inverted) as *const ()))
-            else {
-                continue;
-            };
-            let mut kids_old: Vec<NodeId> = Vec::with_capacity(node.children.len());
-            if !node.children.iter().all(|c| {
-                map_of.get(c).map(|&o| kids_old.push(o)).is_some()
-            }) {
-                continue;
-            }
-            kids_old.sort_unstable();
-            let mut expect: Vec<NodeId> = prev_tree.node(old).children.clone();
-            expect.sort_unstable();
-            if kids_old != expect {
-                continue;
-            }
-            map_of.insert(nid, old);
-            preserved.insert(nid, prev.stats(old).top_keywords.clone());
-        }
-        Self { preserved }
-    }
+/// Whether `v` owns the edge `{v, u}` under `cores`.
+#[inline]
+fn owns(cores: &[u32], v: VertexId, u: VertexId) -> bool {
+    let (cv, cu) = (cores[v.index()], cores[u.index()]);
+    cv < cu || (cv == cu && v < u)
+}
 
-    fn old_of(&self, nid: NodeId) -> Option<&Vec<(KeywordId, u32)>> {
-        self.preserved.get(&nid)
+/// `(sum, max)` of the degrees of `residents`.
+fn resident_degrees(g: &AttributedGraph, residents: &[VertexId]) -> (u64, u32) {
+    residents
+        .iter()
+        .map(|&v| g.degree(v))
+        .fold((0, 0), |(s, m), d| (s + d as u64, m.max(d as u32)))
+}
+
+/// Fills the subtree columns of `id` from its own values and its
+/// children's (already final) stats. `owned_edges` must be set.
+fn aggregate(stats: &mut [SupernodeStats], tree: &ClTree, id: NodeId, own: (u64, u32)) {
+    let node = tree.node(id);
+    let mut sub_v = node.vertices.len() as u64;
+    let mut sub_e = stats[id.index()].owned_edges;
+    let (mut sum_d, mut max_d) = own;
+    for &c in &node.children {
+        let cs = &stats[c.index()];
+        sub_v += cs.subtree_vertices as u64;
+        sub_e += cs.subtree_edges;
+        sum_d += cs.sum_degree;
+        max_d = max_d.max(cs.max_degree);
     }
+    let s = &mut stats[id.index()];
+    s.subtree_vertices = sub_v as u32;
+    s.subtree_edges = sub_e;
+    s.sum_degree = sum_d;
+    s.max_degree = max_d;
+}
+
+/// More moved vertices than this and a repaired node's top keywords are
+/// recounted over its subtree instead of derived from its source.
+const DERIVE_LIMIT: usize = 64;
+
+/// Top keywords of a repaired node. Carried when its subtree is its one
+/// source's; derived from the source's list when only a few vertices
+/// moved and the derived eighth entry still outranks every keyword off
+/// the old list (whose counts can only have fallen); recounted otherwise.
+fn repaired_top_keywords(
+    g: &AttributedGraph,
+    tree: &ClTree,
+    prev: &Hierarchy,
+    r: &RepairedNode,
+) -> Vec<(KeywordId, u32)> {
+    if let [source] = r.sources[..] {
+        let old = &prev.stats[source.index()].top_keywords;
+        if r.added.is_empty() && r.removed.is_empty() {
+            return old.clone();
+        }
+        if r.added.len() + r.removed.len() <= DERIVE_LIMIT {
+            if let Some(top) = derive_top(g, tree, r, old) {
+                return top;
+            }
+        }
+    }
+    recount_top(tree, r.id)
+}
+
+/// See [`repaired_top_keywords`]; `None` when the derivation cannot
+/// prove its answer.
+fn derive_top(
+    g: &AttributedGraph,
+    tree: &ClTree,
+    r: &RepairedNode,
+    old: &[(KeywordId, u32)],
+) -> Option<Vec<(KeywordId, u32)>> {
+    let mut moved: HashMap<KeywordId, i64> = HashMap::new();
+    for (vs, sign) in [(&r.added, 1), (&r.removed, -1)] {
+        for &v in vs {
+            for &w in g.keywords(v) {
+                *moved.entry(w).or_insert(0) += sign;
+            }
+        }
+    }
+    let mut counts: HashMap<KeywordId, i64> = old.iter().map(|&(w, c)| (w, c as i64)).collect();
+    for (&w, &d) in &moved {
+        match counts.get_mut(&w) {
+            Some(c) => *c += d,
+            // A keyword off the old list that gained carriers: its old
+            // count is unknown, so count it in the new subtree.
+            None if d > 0 => {
+                counts.insert(w, subtree_support(tree, r.id, w) as i64);
+            }
+            None => {}
+        }
+    }
+    let mut top: Vec<(KeywordId, u32)> =
+        counts.into_iter().filter(|&(_, c)| c > 0).map(|(w, c)| (w, c as u32)).collect();
+    top.sort_unstable_by_key(|&(w, c)| (u32::MAX - c, w));
+    top.truncate(TOP_KEYWORDS);
+    if old.len() == TOP_KEYWORDS {
+        // Every keyword off the old list ranked after the old eighth and
+        // lost or kept its count; the new eighth must not rank below it.
+        let (w8, c8) = old[TOP_KEYWORDS - 1];
+        let settled = top.len() == TOP_KEYWORDS && {
+            let (w, c) = top[TOP_KEYWORDS - 1];
+            c > c8 || (c == c8 && w <= w8)
+        };
+        if !settled {
+            return None;
+        }
+    }
+    Some(top)
+}
+
+/// Carriers of `w` in `id`'s subtree, skipping subtrees whose signature
+/// excludes it.
+fn subtree_support(tree: &ClTree, id: NodeId, w: KeywordId) -> usize {
+    let mask = crate::KeywordSignature::mask_of(w);
+    let mut total = 0;
+    let mut stack = vec![id];
+    while let Some(nid) = stack.pop() {
+        let node = tree.node(nid);
+        if node.signature.contains_all(&mask) {
+            total += node.keyword_support(w);
+            stack.extend_from_slice(&node.children);
+        }
+    }
+    total
+}
+
+/// Top keywords of `id`'s subtree, counted from its inverted lists.
+fn recount_top(tree: &ClTree, id: NodeId) -> Vec<(KeywordId, u32)> {
+    let mut counts: HashMap<KeywordId, u32> = HashMap::new();
+    let mut stack = vec![id];
+    while let Some(nid) = stack.pop() {
+        let node = tree.node(nid);
+        for (&w, vs) in node.inverted.iter() {
+            *counts.entry(w).or_insert(0) += vs.len() as u32;
+        }
+        stack.extend_from_slice(&node.children);
+    }
+    top_k(&counts)
 }
 
 #[cfg(test)]
@@ -567,21 +730,17 @@ mod tests {
     }
 
     #[test]
-    fn update_reuses_preserved_subtree_keywords() {
+    fn update_with_an_empty_delta_keeps_every_supernode() {
         let g = figure5_graph();
         let t = ClTree::build(&g);
         let h = Hierarchy::build(&g, &t);
-        // Rebuild the tree via update with an empty delta → everything
-        // preserved; the hierarchy must come out identical.
         let delta = cx_graph::EdgeDelta::default();
         let g2 = g.apply_delta(&delta);
-        let cores = t.core_numbers().to_vec();
-        let t2 = t.update(&g2, &delta, &cores);
-        let h2 = Hierarchy::update(&g2, &t2, &t, &h);
+        let (t2, repair) = t.update(&g2, &delta, t.core_numbers());
+        let h2 = Hierarchy::update(&g2, &t2, &delta, &repair, &t, &h);
         assert_eq!(h2.node_count(), h.node_count());
         for (id, _) in t2.iter_nodes() {
-            assert_eq!(h2.stats(id).subtree_vertices, h.stats(id).subtree_vertices);
-            assert_eq!(h2.stats(id).top_keywords, h.stats(id).top_keywords);
+            assert_eq!(h2.stats(id), h.stats(id));
         }
     }
 
@@ -590,17 +749,22 @@ mod tests {
         let g = figure5_graph();
         let t = ClTree::build(&g);
         let h = Hierarchy::build(&g, &t);
-        // Connect H to E: changes components at level ≥ 1.
+        // Connect H to E: merges the H–I component into the big one at
+        // level 1, and a second edit splits it off again.
         let e = g.vertex_by_label("E").unwrap();
         let hv = g.vertex_by_label("H").unwrap();
-        let delta = g.edge_delta(&[(e, hv)], &[]).unwrap();
-        let g2 = g.apply_delta(&delta);
-        let cores2 = cx_kcore::CoreDecomposition::compute_par(&g2);
-        let t2 = ClTree::build_with(&g2, &cores2);
-        let h_inc = Hierarchy::update(&g2, &t2, &t, &h);
-        let h_fresh = Hierarchy::build(&g2, &t2);
-        for (id, _) in t2.iter_nodes() {
-            assert_eq!(h_inc.stats(id), h_fresh.stats(id), "stats diverge at {id:?}");
+        let (mut g, mut t, mut h) = (g, t, h);
+        for (add, remove) in [(vec![(e, hv)], vec![]), (vec![], vec![(e, hv)])] {
+            let delta = g.edge_delta(&add, &remove).unwrap();
+            let g2 = g.apply_delta(&delta);
+            let cores2 = cx_kcore::CoreDecomposition::compute_par(&g2);
+            let (t2, repair) = t.update(&g2, &delta, cores2.core_numbers());
+            let h_inc = Hierarchy::update(&g2, &t2, &delta, &repair, &t, &h);
+            let h_fresh = Hierarchy::build(&g2, &t2);
+            for (id, _) in t2.iter_nodes() {
+                assert_eq!(h_inc.stats(id), h_fresh.stats(id), "stats diverge at {id:?}");
+            }
+            (g, t, h) = (g2, t2, h_inc);
         }
     }
 

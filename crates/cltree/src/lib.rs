@@ -36,3 +36,4 @@ pub use hierarchy::{Expansion, Hierarchy, SupernodeStats};
 pub use node::{ClTreeNode, NodeId};
 pub use signature::{prune_enabled, refresh_prune, set_prune_enabled, KeywordSignature};
 pub use unionfind::UnionFind;
+pub use update::{RepairedNode, TreeRepair};

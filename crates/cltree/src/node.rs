@@ -32,17 +32,20 @@ pub struct ClTreeNode {
     pub children: Vec<NodeId>,
     /// Vertices with core number == `level` in this component, sorted.
     pub vertices: Vec<VertexId>,
-    /// Keyword → sorted vertices *of this node* carrying it. `Arc`-shared
-    /// so that [`crate::ClTree::update`] can carry an unchanged node's
-    /// keyword index into the successor tree without copying it (keyword
-    /// sets are immutable under edge edits, so the map is determined by
-    /// the vertex list).
-    pub inverted: Arc<HashMap<KeywordId, Vec<VertexId>>>,
+    /// Keyword → sorted vertices *of this node* carrying it. The map and
+    /// each posting list are `Arc`-shared so that [`crate::ClTree::update`]
+    /// carries an unchanged node's index into the successor tree without
+    /// copying it, and patches a changed one by rebuilding only the lists
+    /// of the keywords its moved vertices carry (keyword sets are
+    /// immutable under edge edits, so the map is determined by the
+    /// vertex list).
+    pub inverted: Arc<HashMap<KeywordId, Arc<[VertexId]>>>,
     /// Bloom-style signature of every keyword in this node's *subtree*
     /// (own inverted lists ∪ all descendants). No false negatives, so a
     /// missing bit proves a keyword's absence and lets query walks skip
-    /// the subtree. Maintained by [`crate::signature::compute_signatures`]
-    /// at build/update/snapshot-load time; carried nodes keep it by clone.
+    /// the subtree. Computed at build and snapshot-load time, and
+    /// recomputed by [`crate::ClTree::update`] only along repaired paths;
+    /// carried nodes keep it by clone.
     pub signature: KeywordSignature,
 }
 
@@ -59,12 +62,12 @@ impl ClTreeNode {
             }
         }
         // Vertices were iterated in sorted order, so each list is sorted.
-        self.inverted = Arc::new(map);
+        self.inverted = Arc::new(map.into_iter().map(|(w, vs)| (w, Arc::from(vs))).collect());
     }
 
     /// Vertices of this node carrying keyword `w`.
     pub fn vertices_with(&self, w: KeywordId) -> &[VertexId] {
-        self.inverted.get(&w).map(Vec::as_slice).unwrap_or(&[])
+        self.inverted.get(&w).map_or(&[], |vs| vs)
     }
 
     /// Number of distinct keywords appearing in this node.

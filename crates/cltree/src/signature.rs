@@ -94,23 +94,16 @@ impl KeywordSignature {
     }
 }
 
-/// (Re)computes subtree signatures for every node whose level is
-/// `<= up_to_level`, bottom-up. Children sit at strictly higher levels
-/// than their parent (a structural CL-tree invariant, validated on
-/// snapshot load), so a descending-level sweep sees every child before
-/// its parent; children *above* the threshold keep their carried — still
-/// valid — signature and are only read.
-///
-/// Buckets by level instead of sorting: `ClTree::update` calls this with
-/// a small threshold on the edit path, and O(n log n) over the whole
-/// arena would show up in the edit-latency budget.
-pub(crate) fn compute_signatures(nodes: &mut [ClTreeNode], up_to_level: u32) {
-    let max_level = nodes.iter().map(|n| n.level).max().unwrap_or(0).min(up_to_level);
+/// Computes every node's subtree signature, bottom-up. Children sit at
+/// strictly higher levels than their parent (a structural CL-tree
+/// invariant, validated on snapshot load), so a descending-level sweep
+/// sees every child before its parent. Buckets by level instead of
+/// sorting. (`ClTree::update` recomputes only its repaired nodes.)
+pub(crate) fn compute_signatures(nodes: &mut [ClTreeNode]) {
+    let max_level = nodes.iter().map(|n| n.level).max().unwrap_or(0);
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_level as usize + 1];
     for (i, n) in nodes.iter().enumerate() {
-        if n.level <= up_to_level {
-            buckets[n.level as usize].push(i as u32);
-        }
+        buckets[n.level as usize].push(i as u32);
     }
     for bucket in buckets.iter().rev() {
         for &i in bucket {

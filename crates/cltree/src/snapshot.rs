@@ -164,7 +164,7 @@ impl ClTree {
         let max_core = core.iter().copied().max().unwrap_or(0);
         // Subtree keyword signatures are derived data, rebuilt bottom-up
         // from the freshly re-indexed inverted lists.
-        compute_signatures(&mut nodes, u32::MAX);
+        compute_signatures(&mut nodes);
         Ok(ClTree::from_parts(nodes, root, node_of, core, max_core))
     }
 

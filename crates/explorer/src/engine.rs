@@ -418,12 +418,13 @@ impl Engine {
     /// Publishes a finished snapshot: one map insert under the registry
     /// lock (the atomic swap), then cache maintenance off-lock. Readers
     /// holding the previous snapshot keep it alive through their `Arc`.
-    fn publish(&self, snap: GraphSnapshot) {
+    fn publish(&self, snap: GraphSnapshot) -> Arc<GraphSnapshot> {
         let name = snap.name.clone();
         let generation = snap.generation;
+        let snap = Arc::new(snap);
         {
             let mut r = self.registry();
-            r.snapshots.insert(name.clone(), Arc::new(snap));
+            r.snapshots.insert(name.clone(), Arc::clone(&snap));
             if r.default_graph.is_none() {
                 r.default_graph = Some(name.clone());
             }
@@ -431,6 +432,7 @@ impl Engine {
         }
         cx_obs::metrics::inc("cx_snapshot_swap_total");
         self.cache.purge_older(&name, generation);
+        snap
     }
 
     /// Adds (or replaces) a graph, building its CL-tree index — the paper's
@@ -986,15 +988,18 @@ impl Engine {
     }
 
     /// Applies a batch of edge edits to a graph — the evolving-network
-    /// path (new co-authorships appear, stale ones are pruned).
+    /// path (new co-authorships appear, stale ones are pruned) — and
+    /// returns the snapshot it published, so the caller reports this
+    /// edit's generation even when another writer publishes right after.
     ///
     /// The edits are coalesced into an effective [`cx_graph::EdgeDelta`],
     /// the CSR adjacency is patched with [`AttributedGraph::apply_delta`]
     /// (attribute columns shared by `Arc`), core numbers are maintained
     /// subcore-locally by a warm [`cx_kcore::DynamicCore`] cached in the
-    /// write gate, and the CL-tree is repaired with [`ClTree::update`]
-    /// (which itself falls back to a full rebuild when too many core
-    /// numbers changed).
+    /// write gate, the CL-tree is repaired edit-locally with
+    /// [`ClTree::update`] (which itself falls back to a full rebuild when
+    /// too many core numbers changed), and a cached summary hierarchy is
+    /// carried forward with [`Hierarchy::update`] from the repair record.
     ///
     /// The work happens off the registry lock; concurrent
     /// readers keep answering from the previous snapshot until the
@@ -1006,7 +1011,7 @@ impl Engine {
         graph: Option<&str>,
         add: &[(VertexId, VertexId)],
         remove: &[(VertexId, VertexId)],
-    ) -> Result<(), ExplorerError> {
+    ) -> Result<Arc<GraphSnapshot>, ExplorerError> {
         let start = Instant::now();
         let name = self.resolved_owned(graph)?;
         let gate = self.write_gate(&name);
@@ -1016,10 +1021,11 @@ impl Engine {
         // Validates every endpoint before any effect, so a bad edit
         // leaves the graph untouched.
         let delta = g.edge_delta(add, remove)?;
-        let (new_graph, new_tree) = if delta.is_empty() {
-            // Structural no-op: share graph and index wholesale but
-            // still publish (callers observe a generation per edit).
-            (Arc::clone(g), Arc::clone(&snap.tree))
+        let prev_h = snap.hierarchy_cached();
+        let (new_graph, new_tree, hierarchy) = if delta.is_empty() {
+            // Structural no-op: share graph, index and hierarchy wholesale
+            // but still publish (callers observe a generation per edit).
+            (Arc::clone(g), Arc::clone(&snap.tree), prev_h)
         } else {
             let new_graph = Arc::new(g.apply_delta(&delta));
             let mut dc = match ws.dyncore.take() {
@@ -1034,10 +1040,15 @@ impl Engine {
             for &(u, v) in &delta.added {
                 dc.insert_edge(u, v);
             }
-            let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
+            let (tree, repair) = snap.tree.update(&new_graph, &delta, dc.core_numbers());
             ws.dyncore_for = Arc::downgrade(&new_graph);
             ws.dyncore = Some(dc);
-            (new_graph, Arc::new(tree))
+            // Carry the summary hierarchy forward edit-locally so a
+            // browsing client doesn't pay a full rebuild after each edit.
+            let hierarchy = prev_h.map(|h| {
+                Arc::new(Hierarchy::update(&new_graph, &tree, &delta, &repair, &snap.tree, &h))
+            });
+            (new_graph, Arc::new(tree), hierarchy)
         };
         let generation = self.reserve_generation(&name);
         self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
@@ -1049,23 +1060,12 @@ impl Engine {
             snap.coords.clone(),
             generation,
         );
-        // Carry the summary hierarchy forward incrementally so a
-        // browsing client doesn't pay a full rebuild after each edit.
-        if let Some(prev_h) = snap.hierarchy_cached() {
-            if Arc::ptr_eq(&next.tree, &snap.tree) {
-                next.seed_hierarchy(prev_h);
-            } else {
-                next.seed_hierarchy(Arc::new(Hierarchy::update(
-                    &next.graph,
-                    &next.tree,
-                    &snap.tree,
-                    &prev_h,
-                )));
-            }
+        if let Some(h) = hierarchy {
+            next.seed_hierarchy(h);
         }
-        self.publish(next);
+        let published = self.publish(next);
         cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
-        Ok(())
+        Ok(published)
     }
 
     /// Case-insensitive vertex search for the UI's name box: returns the
@@ -1450,6 +1450,42 @@ mod snapshot_tests {
         assert_eq!(new.edge_count(), 10);
         assert_eq!(new.tree.max_core(), 2);
         assert!(new.generation > old.generation);
+    }
+
+    #[test]
+    fn interleaved_writers_each_get_their_own_generation() {
+        // Two writers toggle disjoint edges of one graph in lockstep. Each
+        // acknowledgement must be the snapshot that writer's edit
+        // published: its own generation (never the other writer's later
+        // one) and a graph in which its own edge is in the state it set.
+        let e = Arc::new(Engine::with_graph("fig5", figure5_graph()));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = [(VertexId(7), VertexId(8)), (VertexId(0), VertexId(1))]
+            .into_iter()
+            .map(|edge| {
+                let (e, barrier) = (Arc::clone(&e), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let mut acks = Vec::new();
+                    for round in 0..40 {
+                        barrier.wait();
+                        let present = round % 2 == 1;
+                        let (add, remove) =
+                            if present { (vec![edge], vec![]) } else { (vec![], vec![edge]) };
+                        let snap = e.apply_edits(None, &add, &remove).unwrap();
+                        assert_eq!(snap.graph.has_edge(edge.0, edge.1), present, "round {round}");
+                        acks.push(snap.generation);
+                    }
+                    acks
+                })
+            })
+            .collect();
+        let mut all: Vec<u64> =
+            writers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        let total = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), total, "two edits acknowledged the same generation");
+        assert_eq!(*all.last().unwrap(), e.snapshot(None).unwrap().generation);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! graph via `Arc`, so an edit costs O(n + m) memcpy for the adjacency
 //! plus O(Δ log Δ) for the patch — never a re-intern or label re-parse.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::error::GraphError;
-use crate::graph::{AttributedGraph, VertexId};
+use crate::graph::{AttributedGraph, CsrOffset, VertexId};
 
 /// A coalesced, validated batch of edge edits against a specific base
 /// graph. Produced by [`AttributedGraph::edge_delta`]; consumed by
@@ -104,55 +104,62 @@ impl AttributedGraph {
     /// (checked with debug assertions).
     pub fn apply_delta(&self, delta: &EdgeDelta) -> AttributedGraph {
         let n = self.vertex_count();
-        // Per-vertex patch lists; only touched vertices get an entry, so
-        // untouched adjacency rows fall through to a straight memcpy.
-        let mut ins_of: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        let mut del_of: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        // One `(vertex, neighbour, inserted)` patch per endpoint, sorted,
+        // so each touched row's insertions and deletions come out sorted
+        // and every untouched span between two touched rows is one copy.
+        let mut patches: Vec<(VertexId, VertexId, bool)> = Vec::with_capacity(2 * delta.len());
         for &(u, v) in &delta.added {
             debug_assert!(u < v, "delta edges must be normalised");
             debug_assert!(!self.has_edge(u, v), "added edge already present");
-            ins_of.entry(u).or_default().push(v);
-            ins_of.entry(v).or_default().push(u);
+            patches.extend([(u, v, true), (v, u, true)]);
         }
         for &(u, v) in &delta.removed {
             debug_assert!(u < v, "delta edges must be normalised");
             debug_assert!(self.has_edge(u, v), "removed edge absent");
-            del_of.entry(u).or_default().push(v);
-            del_of.entry(v).or_default().push(u);
+            patches.extend([(u, v, false), (v, u, false)]);
         }
+        patches.sort_unstable();
 
         let new_len = self.adj.len() + 2 * delta.added.len() - 2 * delta.removed.len();
         let mut adj = Vec::with_capacity(new_len);
-        let mut adj_off: Vec<u32> = Vec::with_capacity(n + 1);
-        adj_off.push(0);
-        for vi in 0..n {
-            let v = VertexId(vi as u32);
-            let old = self.neighbors(v);
-            let del = del_of.get(&v).map_or(&[][..], Vec::as_slice);
-            match ins_of.get_mut(&v) {
-                None if del.is_empty() => adj.extend_from_slice(old),
-                ins => {
-                    let ins = ins.map_or(&[][..], |list| {
-                        list.sort_unstable();
-                        &list[..]
-                    });
-                    // Sorted merge of (old \ del) with the insertions.
-                    let mut i = 0;
-                    for &w in old {
-                        if del.contains(&w) {
-                            continue;
-                        }
-                        while i < ins.len() && ins[i] < w {
-                            adj.push(ins[i]);
-                            i += 1;
-                        }
-                        adj.push(w);
-                    }
-                    adj.extend_from_slice(&ins[i..]);
+        let mut adj_off: Vec<CsrOffset> = Vec::with_capacity(n + 1);
+        // Rows before `next` are written; `shift` is how far the rows
+        // after the last patched one moved (new offset − old offset).
+        let (mut next, mut shift) = (0usize, 0i64);
+        let copy_span = |adj: &mut Vec<VertexId>,
+                         adj_off: &mut Vec<CsrOffset>,
+                         rows: std::ops::Range<usize>,
+                         shift: i64| {
+            let (lo, hi) = (self.adj_off[rows.start] as usize, self.adj_off[rows.end] as usize);
+            adj.extend_from_slice(&self.adj[lo..hi]);
+            adj_off.extend(self.adj_off[rows].iter().map(|&o| (o as i64 + shift) as CsrOffset));
+        };
+        let mut i = 0;
+        while i < patches.len() {
+            let v = patches[i].0;
+            let j = i + patches[i..].iter().take_while(|p| p.0 == v).count();
+            copy_span(&mut adj, &mut adj_off, next..v.index(), shift);
+            adj_off.push(adj.len() as CsrOffset);
+            let ins = patches[i..j].iter().filter(|p| p.2).map(|p| p.1);
+            let mut del = patches[i..j].iter().filter(|p| !p.2).map(|p| p.1).peekable();
+            let mut ins = ins.peekable();
+            // Sorted merge of (old row \ deletions) with the insertions.
+            for &w in self.neighbors(v) {
+                if del.next_if_eq(&w).is_some() {
+                    continue;
                 }
+                while let Some(x) = ins.next_if(|&x| x < w) {
+                    adj.push(x);
+                }
+                adj.push(w);
             }
-            adj_off.push(adj.len() as u32);
+            adj.extend(ins);
+            shift = adj.len() as i64 - self.adj_off[v.index() + 1] as i64;
+            next = v.index() + 1;
+            i = j;
         }
+        copy_span(&mut adj, &mut adj_off, next..n, shift);
+        adj_off.push(adj.len() as CsrOffset);
         debug_assert_eq!(adj.len(), new_len);
 
         AttributedGraph {

@@ -29,6 +29,13 @@ use cx_graph::{AttributedGraph, VertexId};
 pub struct DynamicCore {
     adj: Vec<Vec<u32>>,
     core: Vec<u32>,
+    /// Per-vertex scratch reused by every edit: a membership flag (the
+    /// insertion's candidate set, the deletion's queued set), all `false`
+    /// between calls.
+    flag: Vec<bool>,
+    /// Per-vertex support counts, all `u32::MAX` ("not computed")
+    /// between calls. Each call resets only the entries it visited.
+    cd: Vec<u32>,
 }
 
 impl DynamicCore {
@@ -37,7 +44,7 @@ impl DynamicCore {
         let adj: Vec<Vec<u32>> =
             g.vertices().map(|v| g.neighbors(v).iter().map(|u| u.0).collect()).collect();
         let core = crate::decomposition::CoreDecomposition::compute(g).core_numbers().to_vec();
-        Self { adj, core }
+        Self::from_parts(adj, core)
     }
 
     /// Seeds from a graph whose core numbers are already known, skipping
@@ -49,12 +56,17 @@ impl DynamicCore {
         assert_eq!(cores.len(), g.vertex_count(), "core vector must cover every vertex");
         let adj: Vec<Vec<u32>> =
             g.vertices().map(|v| g.neighbors(v).iter().map(|u| u.0).collect()).collect();
-        Self { adj, core: cores.to_vec() }
+        Self::from_parts(adj, cores.to_vec())
     }
 
     /// An edgeless graph with `n` vertices (all cores 0).
     pub fn with_vertices(n: usize) -> Self {
-        Self { adj: vec![Vec::new(); n], core: vec![0; n] }
+        Self::from_parts(vec![Vec::new(); n], vec![0; n])
+    }
+
+    fn from_parts(adj: Vec<Vec<u32>>, core: Vec<u32>) -> Self {
+        let n = adj.len();
+        Self { adj, core, flag: vec![false; n], cd: vec![u32::MAX; n] }
     }
 
     /// Number of vertices.
@@ -81,6 +93,8 @@ impl DynamicCore {
     pub fn add_vertex(&mut self) -> VertexId {
         self.adj.push(Vec::new());
         self.core.push(0);
+        self.flag.push(false);
+        self.cd.push(u32::MAX);
         VertexId(self.adj.len() as u32 - 1)
     }
 
@@ -103,17 +117,14 @@ impl DynamicCore {
         self.adj[v.index()].push(u.0);
 
         // Only vertices with core == K (the smaller endpoint core) can rise.
-        let k = self.core[u.index()].min(self.core[v.index()]);
-        let roots: Vec<u32> = [u, v]
-            .into_iter()
-            .filter(|w| self.core[w.index()] == k)
-            .map(|w| w.0)
-            .collect();
+        let Self { adj, core, flag: in_sub, cd } = self;
+        let k = core[u.index()].min(core[v.index()]);
+        let roots: Vec<u32> =
+            [u, v].into_iter().filter(|w| core[w.index()] == k).map(|w| w.0).collect();
 
         // Candidate set: the subcore — core-K vertices reachable from the
-        // root(s) through core-K vertices.
-        let n = self.adj.len();
-        let mut in_sub = vec![false; n];
+        // root(s) through core-K vertices. Every flagged vertex lands in
+        // `subcore`, which is what the reset at the end relies on.
         let mut subcore = Vec::new();
         let mut queue: VecDeque<u32> = VecDeque::new();
         for r in roots {
@@ -124,8 +135,8 @@ impl DynamicCore {
         }
         while let Some(w) = queue.pop_front() {
             subcore.push(w);
-            for &x in &self.adj[w as usize] {
-                if self.core[x as usize] == k && !in_sub[x as usize] {
+            for &x in &adj[w as usize] {
+                if core[x as usize] == k && !in_sub[x as usize] {
                     in_sub[x as usize] = true;
                     queue.push_back(x);
                 }
@@ -134,11 +145,10 @@ impl DynamicCore {
 
         // cd(w): neighbours that could support w at level K+1 — those with
         // core > K, or core == K and still candidates.
-        let mut cd = vec![0u32; n];
         for &w in &subcore {
-            cd[w as usize] = self.adj[w as usize]
+            cd[w as usize] = adj[w as usize]
                 .iter()
-                .filter(|&&x| self.core[x as usize] > k || in_sub[x as usize])
+                .filter(|&&x| core[x as usize] > k || in_sub[x as usize])
                 .count() as u32;
         }
         // Peel candidates that cannot reach degree K+1.
@@ -149,7 +159,7 @@ impl DynamicCore {
                 continue;
             }
             in_sub[w as usize] = false;
-            for &x in &self.adj[w as usize] {
+            for &x in &adj[w as usize] {
                 if in_sub[x as usize] {
                     cd[x as usize] -= 1;
                     if cd[x as usize] == k {
@@ -158,11 +168,13 @@ impl DynamicCore {
                 }
             }
         }
-        // Survivors rise to K+1.
+        // Survivors rise to K+1; then the scratch is reset where touched.
         for &w in &subcore {
             if in_sub[w as usize] {
-                self.core[w as usize] = k + 1;
+                core[w as usize] = k + 1;
             }
+            in_sub[w as usize] = false;
+            cd[w as usize] = u32::MAX;
         }
         true
     }
@@ -176,53 +188,56 @@ impl DynamicCore {
         self.adj[u.index()].retain(|&x| x != v.0);
         self.adj[v.index()].retain(|&x| x != u.0);
 
-        let k = self.core[u.index()].min(self.core[v.index()]);
+        let Self { adj, core, flag: queued, cd } = self;
+        let k = core[u.index()].min(core[v.index()]);
         // Vertices with core == K near the affected endpoints may drop to
         // K-1. Start from the endpoints whose core is K and cascade: a
         // core-K vertex drops when fewer than K of its neighbours have
-        // (effective) core ≥ K.
-        let n = self.adj.len();
-        let mut cd = vec![u32::MAX; n]; // lazily computed for visited core-K vertices
-        let eff_core = |core: &[u32], x: u32| core[x as usize];
-
+        // (effective) core ≥ K. `cd` is computed lazily per visited
+        // vertex; `visited` lists every scratch entry to reset.
+        let support = |core: &[u32], x: u32| {
+            adj[x as usize].iter().filter(|&&y| core[y as usize] >= k).count() as u32
+        };
+        let mut visited: Vec<u32> = Vec::new();
         let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut queued = vec![false; n];
         for w in [u.0, v.0] {
-            if self.core[w as usize] == k && !queued[w as usize] {
+            if core[w as usize] == k && !queued[w as usize] {
                 queued[w as usize] = true;
+                visited.push(w);
                 queue.push_back(w);
             }
         }
         while let Some(w) = queue.pop_front() {
-            if self.core[w as usize] != k {
+            if core[w as usize] != k {
                 continue;
             }
             if cd[w as usize] == u32::MAX {
-                cd[w as usize] = self.adj[w as usize]
-                    .iter()
-                    .filter(|&&x| eff_core(&self.core, x) >= k)
-                    .count() as u32;
+                cd[w as usize] = support(core, w);
+                visited.push(w);
             }
             if cd[w as usize] < k {
                 // w drops; its core-K neighbours lose a supporter.
-                self.core[w as usize] = k.saturating_sub(1);
-                for &x in &self.adj[w as usize] {
-                    if self.core[x as usize] == k {
+                core[w as usize] = k.saturating_sub(1);
+                for &x in &adj[w as usize] {
+                    if core[x as usize] == k {
                         if cd[x as usize] == u32::MAX {
-                            cd[x as usize] = self.adj[x as usize]
-                                .iter()
-                                .filter(|&&y| eff_core(&self.core, y) >= k)
-                                .count() as u32;
+                            cd[x as usize] = support(core, x);
+                            visited.push(x);
                         } else {
                             cd[x as usize] = cd[x as usize].saturating_sub(1);
                         }
                         if !queued[x as usize] || cd[x as usize] < k {
                             queued[x as usize] = true;
+                            visited.push(x);
                             queue.push_back(x);
                         }
                     }
                 }
             }
+        }
+        for w in visited {
+            queued[w as usize] = false;
+            cd[w as usize] = u32::MAX;
         }
         true
     }

@@ -252,7 +252,13 @@ pub fn par_reduce<A: Send>(
 mod tests {
     use super::*;
 
+    /// Serialises `CX_THREADS` mutation across this module's tests: the
+    /// variable is process-global and the test harness runs tests in
+    /// parallel, so set → run → restore must not interleave.
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let old = std::env::var("CX_THREADS").ok();
         std::env::set_var("CX_THREADS", n);
         refresh_threads();

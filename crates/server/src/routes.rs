@@ -514,8 +514,9 @@ fn edit(engine: &Engine, req: &Request) -> Handler {
     };
     let add = pairs("add")?;
     let remove = pairs("remove")?;
-    engine.apply_edits(req.param("graph"), &add, &remove)?;
-    let snap = engine.snapshot(req.param("graph"))?;
+    // Report the snapshot this edit published, not whatever is current
+    // by now: a concurrent writer may already have published after it.
+    let snap = engine.apply_edits(req.param("graph"), &add, &remove)?;
     Ok(Payload::Data(Json::obj([
         ("ok", Json::Bool(true)),
         ("vertices", Json::num(snap.graph.vertex_count() as f64)),
